@@ -26,6 +26,7 @@ from .dicke import (
     operator_matrix,
     wigner_d,
     wineland_xi2,
+    yz_moments,
 )
 from .errors import (
     BraggTrapError,
@@ -39,6 +40,7 @@ from .optimize import (
     alpha_H,
     optimize_alpha_beta,
     optimize_beta,
+    optimized_gain,
     scan_m,
     scan_trap,
 )
@@ -80,10 +82,10 @@ __all__ = [
     "twisted_ladder_moments", "weak_gain", "xi2_closed",
     "DickeState", "HusimiGrid", "PulseSpec", "SpinOp",
     "apply_oat", "apply_rotation", "expectation", "husimi_grid", "make_css",
-    "operator_matrix", "wigner_d", "wineland_xi2",
+    "operator_matrix", "wigner_d", "wineland_xi2", "yz_moments",
     "BraggTrapError", "DegenerateStateError", "FlatSlopeError", "QuadratureError",
     "OptimizationSpec", "ScanRow", "alpha_H", "optimize_alpha_beta",
-    "optimize_beta", "scan_m", "scan_trap",
+    "optimize_beta", "optimized_gain", "scan_m", "scan_trap",
     "GainResult", "SequenceConfig", "gain_at_zero", "output_moments",
     "prepared_state", "run_sequence", "run_sequence_stepwise", "sensitivity",
     "sequence_from_trap", "signal_curve",

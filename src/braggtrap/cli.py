@@ -24,16 +24,9 @@ import numpy as np
 
 from . import __version__
 from .closed_form import xi2_closed
-from .dicke import SpinOp, apply_oat, expectation, husimi_grid, make_css
+from .dicke import apply_oat, husimi_grid, make_css, yz_moments
 from .errors import BraggTrapError
-from .optimize import (
-    OptimizationSpec,
-    alpha_H,
-    optimize_alpha_beta,
-    optimize_beta,
-    scan_m,
-    scan_trap,
-)
+from .optimize import OptimizationSpec, optimized_gain, scan_m, scan_trap
 from .sequence import (
     SequenceConfig,
     gain_at_zero,
@@ -49,6 +42,7 @@ from .trap import (
     AtomTrapConfig,
     chi_of_t,
     derive_trap,
+    half_integer,
     tau_accumulated,
     tau_closed_form,
     tau_tilde,
@@ -68,9 +62,10 @@ def _positive(key: str, value):
 
 
 def _half_integer(key: str, value):
-    if value < 0 or abs(2 * value - round(2 * value)) > 1e-9:
-        raise UsageError(f"{key} must be a half-integer >= 0, got {value}")
-    return value
+    try:
+        return half_integer(key, value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _atoms(key: str, value):
@@ -96,6 +91,8 @@ def _float_list(key: str, value):
         raise UsageError(f"{key}: cannot parse number in {value!r}") from exc
     if not items:
         raise UsageError(f"{key} must contain at least one value")
+    if not all(math.isfinite(v) for v in items):
+        raise UsageError(f"{key} must contain finite numbers only, got {value!r}")
     return items
 
 
@@ -125,8 +122,6 @@ KEYS = {
     "from_trap": (bool, False, "flag", "derive tau/tau_tilde/theta from the trap parameters", _identity),
     "alpha_policy": (str, "fixed", "enum", "alpha selection: fixed | alpha-h | scan", _choice("fixed", "alpha-h", "scan")),
     "alpha_grid": (int, 181, "dimensionless", "coarse grid size for alpha scans (>= 8)", _positive),
-    "beta_grid": (int, 181, "dimensionless", "coarse grid size for beta scans (>= 8)", _positive),
-    "beta_grid_joint": (int, 90, "dimensionless", "beta grid size in joint (alpha, beta) scans", _positive),
     "refine_tolerance_rad": (float, 1e-4, "rad", "optimizer refinement tolerance", _positive),
     "tau_min": (float, 1e-4, "rad", "squeeze sweep: smallest tau", _positive),
     "tau_max": (float, 0.03, "rad", "squeeze sweep: largest tau", _positive),
@@ -149,7 +144,7 @@ _TRAP_KEYS = (
     "gravity_m_s2", "oscillations", "model",
 )
 _SEQ_KEYS = ("tau", "tau_tilde", "alpha_rad", "beta_rad", "theta_rad", "from_trap")
-_OPT_KEYS = ("alpha_policy", "alpha_grid", "beta_grid", "beta_grid_joint", "refine_tolerance_rad")
+_OPT_KEYS = ("alpha_policy", "alpha_grid", "refine_tolerance_rad")
 
 SUBCOMMANDS = {
     "squeeze": _TRAP_KEYS[:1] + ("tau_min", "tau_max", "tau_steps", "output"),
@@ -244,6 +239,8 @@ def _coerce(key: str, raw):
         value = typ(raw)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{key}: cannot parse {typ.__name__} from {raw!r}") from exc
+    if typ is float and not math.isfinite(value):
+        raise UsageError(f"{key} must be a finite number, got {raw!r}")
     return validator(key, value)
 
 
@@ -318,8 +315,6 @@ def _spec_from_params(params: dict) -> OptimizationSpec:
         alpha_mode=policy,
         alpha_value=params.get("alpha_rad", 0.0),
         alpha_grid=params["alpha_grid"],
-        beta_grid=params["beta_grid"],
-        beta_grid_joint=params["beta_grid_joint"],
         refine_tolerance=params["refine_tolerance_rad"],
     )
 
@@ -359,13 +354,9 @@ def _emit(text: str, path: str, manifest: dict) -> list[str]:
 
 def _xi_optimal(n_atoms: int, tau: float) -> float:
     """Orientation-optimized Wineland xi from the exact twisted state."""
-    state = apply_oat(make_css(n_atoms, 0.5 * math.pi, 0.0), tau)
-    sp = complex(expectation(state, SpinOp.SP))
-    q = complex(expectation(state, SpinOp.SP_SZ)) + 0.5 * sp
-    sy2 = expectation(state, SpinOp.SY2)
-    sz2 = expectation(state, SpinOp.SZ2)
-    var_min = 0.5 * (sy2 + sz2) - 0.5 * math.hypot(sy2 - sz2, 2.0 * q.imag)
-    return math.sqrt(n_atoms * var_min / (sp.real**2 + sp.imag**2))
+    mom = yz_moments(apply_oat(make_css(n_atoms, 0.5 * math.pi, 0.0), tau))
+    _, var_min = mom.squeezed_axis()
+    return math.sqrt(n_atoms * var_min / (mom.sx**2 + mom.sy**2))
 
 
 def _run_squeeze(params: dict, manifest: dict) -> list[str]:
@@ -391,10 +382,7 @@ def _run_tau(params: dict, manifest: dict) -> list[str]:
         if sweep == "gamma":
             cfg = base.with_aspect_ratio(value)
         else:
-            scale = TWO_PI * value / base.omega_z
-            cfg = dataclasses.replace(
-                base, omega_x=base.omega_x * scale, omega_y=base.omega_y * scale,
-                omega_z=TWO_PI * value, omega_z_tilde=base.omega_z_tilde * scale)
+            cfg = base.with_omega_z(TWO_PI * value)
         # the separated-mode estimate models the Thomas-Fermi rate over a
         # window of m half-periods, so that pairing is what gets compared;
         # tau_prep is the preparation value actually fed to the sequence
@@ -426,15 +414,7 @@ def _run_gain(params: dict, manifest: dict) -> list[str]:
 
 def _run_optimize(params: dict, manifest: dict) -> list[str]:
     seq = _sequence_from_params(params)
-    spec = _spec_from_params(params)
-    if spec.alpha_mode == "scan":
-        result = optimize_alpha_beta(seq, spec)
-    elif spec.alpha_mode == "alpha_H":
-        from .optimize import alpha_H
-        seq = dataclasses.replace(seq, alpha=alpha_H(seq.n_atoms, seq.tau, spec))
-        result = optimize_beta(seq, spec)
-    else:
-        result = optimize_beta(seq, spec)
+    result = optimized_gain(seq, _spec_from_params(params))
     extra = {
         "n_atoms": seq.n_atoms, "tau": seq.tau, "tau_tilde": seq.tau_tilde,
         "alpha_policy": params["alpha_policy"],

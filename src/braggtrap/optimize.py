@@ -1,31 +1,35 @@
 """Gain optimization over the pre/post rotation angles and parameter scans.
 
-The final beta pulse only mixes S_y and S_z, so for a fixed alpha the whole
-beta landscape is an exact closed form of six moments of the state entering
-the last pulse; optimizers exploit that profile and re-evaluate the winning
-angles through the full pipeline before reporting.  Grids and refinement are
-deterministic: identical inputs give identical outputs.
+The final beta pulse only mixes S_y and S_z, so for a given alpha the gain is
+a ratio of quadratics in tan(beta) of six moments of the state entering the
+last pulse (``dicke.yz_moments``), and its maximizing beta is exact.  alpha_H
+is the exact principal axis of the twisted state's y-z second moments.  Only
+the joint optimum needs a search, and only over alpha: a deterministic grid
+with golden-section refinement, so identical inputs give identical outputs.
+Every optimizer re-evaluates the winning angles through the full pipeline
+before reporting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .closed_form import xi2_closed
-from .dicke import PulseSpec, SpinOp, apply_oat, apply_rotation, expectation, make_css
+from .dicke import DickeState, PulseSpec, apply_oat, apply_rotation, make_css, yz_moments
 from .errors import DegenerateStateError
-from .sequence import GainResult, SequenceConfig, gain_at_zero
-from .trap import AtomTrapConfig, derive_trap, tau_accumulated, tau_tilde
+from .sequence import GainResult, SequenceConfig, gain_at_zero, prepared_state
+from .trap import AtomTrapConfig, half_integer, tau_accumulated, tau_tilde
 
 __all__ = [
     "OptimizationSpec",
     "ScanRow",
     "optimize_beta",
     "optimize_alpha_beta",
+    "optimized_gain",
     "alpha_H",
     "scan_m",
     "scan_trap",
@@ -33,37 +37,29 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_EPS = 1e-12
+_MAX_REFINE_ITER = 200
 _ALPHA_POLICIES = ("fixed", "alpha_H", "scan")
-_BETA_POLICIES = ("fixed", "scan")
 
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Angle-selection policy and optimizer resolution.
+    """Alpha-selection policy and the resolution of the joint alpha search.
 
     alpha_mode: "fixed" (use alpha_value), "alpha_H" (linear-sequence
-    optimum for the given tau), or "scan" (joint numerical optimum with
-    beta).  beta is scanned unless beta_mode is "fixed".
+    optimum for the given tau), or "scan" (joint optimum with beta).  beta is
+    always optimized exactly.
     """
 
     alpha_mode: str = "fixed"
     alpha_value: float = 0.0
-    beta_mode: str = "scan"
-    beta_value: float = 0.0
-    beta_grid: int = 181
     alpha_grid: int = 181
-    beta_grid_joint: int = 90
     refine_tolerance: float = 1e-4
-    max_refine_iter: int = 200
 
     def __post_init__(self):
         if self.alpha_mode not in _ALPHA_POLICIES:
             raise ValueError(f"alpha_mode must be one of {_ALPHA_POLICIES}")
-        if self.beta_mode not in _BETA_POLICIES:
-            raise ValueError(f"beta_mode must be one of {_BETA_POLICIES}")
-        for name in ("beta_grid", "alpha_grid", "beta_grid_joint"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be >= 8")
+        if self.alpha_grid < 8:
+            raise ValueError("alpha_grid must be >= 8")
         if not 0.0 < self.refine_tolerance <= 0.1:
             raise ValueError("refine_tolerance must lie in (0, 0.1]")
 
@@ -88,58 +84,35 @@ class ScanRow:
     gain_linear: float
 
 
-class _PreBetaMoments(NamedTuple):
-    sx: float
-    sy: float
-    sz: float
-    sy2: float
-    sz2: float
-    syz: float
+def _best_beta(prepared: DickeState, tau_tilde: float, alpha: float) -> tuple[float, float]:
+    """(G^2, beta) at the exact optimum of the closing pulse for this alpha.
 
-
-def _pre_beta_moments(config: SequenceConfig, alpha: float) -> _PreBetaMoments:
-    """Moments of the state just before the final beta pulse (theta = 0)."""
-    state = apply_oat(make_css(config.n_atoms, 0.5 * math.pi, 0.0), config.tau)
-    state = apply_rotation(state, PulseSpec("x", alpha))
-    state = apply_rotation(state, PulseSpec("x", 0.5 * math.pi))
-    state = apply_oat(state, config.tau_tilde)
-    state = apply_rotation(state, PulseSpec("x", -0.5 * math.pi))
-    sp = complex(expectation(state, SpinOp.SP))
-    q = complex(expectation(state, SpinOp.SP_SZ)) + 0.5 * sp
-    return _PreBetaMoments(
-        sx=sp.real,
-        sy=sp.imag,
-        sz=expectation(state, SpinOp.SZ),
-        sy2=expectation(state, SpinOp.SY2),
-        sz2=expectation(state, SpinOp.SZ2),
-        syz=2.0 * q.imag,  # <{S_y, S_z}> from Im<S_+ (S_z + 1/2)>
-    )
-
-
-def _gain_sq_at_beta(mom: _PreBetaMoments, n_atoms: int, beta: float) -> float:
-    """Exact G^2(beta) from the pre-pulse moments.
-
-    R_x(beta) maps S_z to cos(beta) S_z + sin(beta) S_y, so the output mean
-    and variance of S_z are quadratic forms in (sin beta, cos beta); S_x is
-    untouched by the pulse.
+    R_x(alpha) R_x(pi/2) is one rotation, and the moments are taken after the
+    interrogation twist.  The closing R_x(beta) R_x(-pi/2) maps S_z to
+    sin(beta) S_z - cos(beta) S_y, so with t = tan(beta) and
+    K = <{S_y, S_z}> - 2 <S_y><S_z>,
+    G^2 = <S_x>^2 / (N (Var S_y + t^2 Var S_z - t K)),
+    largest at t = K / (2 Var S_z).
     """
-    cb, sb = math.cos(beta), math.sin(beta)
-    mean = cb * mom.sz + sb * mom.sy
-    second = cb * cb * mom.sz2 + sb * sb * mom.sy2 + sb * cb * mom.syz
-    var = second - mean * mean
-    if var <= 0.0:
-        raise DegenerateStateError(f"S_z variance {var:.3e} at beta={beta}")
-    return mom.sx**2 * cb * cb / (n_atoms * var)
+    state = apply_rotation(prepared, PulseSpec("x", alpha + 0.5 * math.pi))
+    mom = yz_moments(apply_oat(state, tau_tilde))
+    var_y = mom.sy2 - mom.sy * mom.sy
+    var_z = mom.sz2 - mom.sz * mom.sz
+    k = mom.syz - 2.0 * mom.sy * mom.sz
+    denom = var_y - k * k / (4.0 * var_z) if var_z > 0.0 else 0.0
+    if denom <= 0.0:
+        raise DegenerateStateError(
+            f"smallest output S_z variance {denom:.3e} is not positive at alpha={alpha}")
+    return mom.sx**2 / (prepared.n_atoms * denom), math.atan(0.5 * k / var_z)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float, max_iter: int) -> float:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Golden-section maximizer on [lo, hi]; returns the bracket midpoint."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_REFINE_ITER):
         if b - a < tol:
             break
         if fc > fd:
@@ -153,158 +126,101 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def _best_grid_point(grid: np.ndarray, vals: np.ndarray) -> tuple[int, bool]:
-    """Index of the grid maximum, ties broken toward smallest |angle|."""
-    vmax = float(np.max(vals))
-    flat = vmax - float(np.min(vals)) < _FLAT_EPS
-    near = np.nonzero(vals >= vmax - _FLAT_EPS)[0]
-    order = sorted(near, key=lambda i: (abs(grid[i]), grid[i]))
-    return int(order[0]), flat
-
-
 def _finish(config: SequenceConfig, alpha: float, beta: float,
             flat: bool) -> GainResult:
     result = gain_at_zero(replace(config, alpha=alpha, beta=beta))
     return replace(result, flat_landscape=flat)
 
 
-def optimize_beta(config: SequenceConfig, spec: OptimizationSpec | None = None) -> GainResult:
+def optimize_beta(config: SequenceConfig) -> GainResult:
     """Maximize the theta = 0 gain over the final pulse angle beta.
 
-    Coarse grid over (-pi/2, pi/2], golden-section refinement to
-    refine_tolerance, ties toward the smallest |beta|.  A landscape whose
-    total variation is below 1e-12 is reported via flat_landscape with
-    beta = 0.
+    The maximizer is exact.  A landscape whose peak G^2 is below 1e-12 (it
+    vanishes at beta = +-pi/2) is reported via flat_landscape with beta = 0.
     """
-    spec = spec or OptimizationSpec()
-    if spec.beta_mode == "fixed":
-        return _finish(config, config.alpha, spec.beta_value, False)
-    mom = _pre_beta_moments(config, config.alpha)
-    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, spec.beta_grid)
-    vals = np.array([_gain_sq_at_beta(mom, config.n_atoms, b) for b in grid])
-    idx, flat = _best_grid_point(grid, vals)
-    if flat:
-        return _finish(config, config.alpha, 0.0, True)
-    h = grid[1] - grid[0]
-    beta = _golden_max(
-        lambda b: _gain_sq_at_beta(mom, config.n_atoms, b),
-        grid[idx] - h, grid[idx] + h,
-        spec.refine_tolerance, spec.max_refine_iter,
-    )
-    return _finish(config, config.alpha, beta, False)
+    g2, beta = _best_beta(prepared_state(config), config.tau_tilde, config.alpha)
+    flat = g2 < _FLAT_EPS
+    return _finish(config, config.alpha, 0.0 if flat else beta, flat)
 
 
 def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = None) -> GainResult:
     """Jointly maximize the gain over (alpha, beta).
 
-    Coarse grid alpha in [0, pi) x beta in (-pi/2, pi/2], then multi-start
-    derivative-free refinement from the five best cells: golden section over
-    alpha nested around an exact per-alpha maximization of the closed beta
-    profile.  Ties break toward smallest |alpha|, then |beta|.
+    beta is exact for every alpha, so only alpha is searched: a grid over
+    [0, pi), then golden-section refinement from the five best cells.  Ties
+    break toward smallest |alpha|, then |beta|.
     """
     spec = spec or OptimizationSpec()
-    n = config.n_atoms
+    prepared = prepared_state(config)
 
-    profile_cache: dict[float, _PreBetaMoments] = {}
-
-    def profile(alpha: float) -> _PreBetaMoments:
-        if alpha not in profile_cache:
-            profile_cache[alpha] = _pre_beta_moments(config, alpha)
-        return profile_cache[alpha]
-
-    betas = np.linspace(-0.5 * math.pi, 0.5 * math.pi, spec.beta_grid_joint)
-
-    def best_beta(alpha: float) -> tuple[float, float]:
-        """(G^2, beta*) maximizing the exact beta profile at this alpha."""
-        mom = profile(alpha)
-        vals = np.array([_gain_sq_at_beta(mom, n, float(b)) for b in betas])
-        idx, _ = _best_grid_point(betas, vals)
-        h = betas[1] - betas[0]
-        beta = _golden_max(
-            lambda b: _gain_sq_at_beta(mom, n, b),
-            betas[idx] - h, betas[idx] + h,
-            spec.refine_tolerance, spec.max_refine_iter,
-        )
-        return _gain_sq_at_beta(mom, n, beta), beta
+    def profile(alpha: float) -> tuple[float, float]:
+        return _best_beta(prepared, config.tau_tilde, alpha)
 
     alphas = np.linspace(0.0, math.pi, spec.alpha_grid, endpoint=False)
-    table = np.empty((alphas.size, betas.size))
-    for i, a in enumerate(alphas):
-        mom = profile(float(a))
-        table[i] = [_gain_sq_at_beta(mom, n, float(b)) for b in betas]
-    vmax = float(np.max(table))
-    if vmax - float(np.min(table)) < _FLAT_EPS:
+    vals = [profile(float(a))[0] for a in alphas]
+    if max(vals) < _FLAT_EPS:
         return _finish(config, 0.0, 0.0, True)
 
-    col_best = table.max(axis=1)
-    ranked = sorted(range(alphas.size), key=lambda i: (-col_best[i], abs(alphas[i])))
-    starts = ranked[:5]
-    h_alpha = alphas[1] - alphas[0]
+    ranked = sorted(range(alphas.size), key=lambda i: (-vals[i], abs(alphas[i])))
+    h = alphas[1] - alphas[0]
     candidates = []
-    for ia in starts:
-        a0 = float(alphas[ia])
-        alpha = _golden_max(
-            lambda a: best_beta(a)[0], a0 - h_alpha, a0 + h_alpha,
-            spec.refine_tolerance, spec.max_refine_iter,
-        )
-        val, beta = best_beta(alpha)
-        candidates.append((val, alpha, beta))
-    best_val = max(c[0] for c in candidates)
-    keep = [c for c in candidates if c[0] >= best_val - _FLAT_EPS]
-    keep.sort(key=lambda c: (abs(c[1]), abs(c[2])))
-    _, alpha, beta = keep[0]
+    for i in ranked[:5]:
+        a0 = float(alphas[i])
+        alpha = _golden_max(lambda a: profile(a)[0], a0 - h, a0 + h,
+                            spec.refine_tolerance)
+        g2, beta = profile(alpha)
+        candidates.append((g2, alpha, beta))
+    best = max(c[0] for c in candidates)
+    keep = [c for c in candidates if c[0] >= best - _FLAT_EPS]
+    _, alpha, beta = min(keep, key=lambda c: (abs(c[1]), abs(c[2])))
     return _finish(config, alpha, beta, False)
 
 
-def alpha_H(n_atoms: int, tau: float, spec: OptimizationSpec | None = None) -> float:
+def alpha_H(n_atoms: int, tau: float) -> float:
     """Orientation pulse minimizing the exact Wineland parameter of the
     twisted state (the optimal pre-rotation of a linear sequence).
 
-    Tends to -pi/4 for weak twisting; at tau = 0 the landscape is flat and
-    0 is returned by the tie-break.
+    The principal axis of the y-z second moments, in (-pi/2, pi/2].  Tends
+    to -pi/4 for weak twisting; at tau = 0 the landscape is flat and 0 is
+    returned.
     """
-    spec = spec or OptimizationSpec()
     state = apply_oat(make_css(n_atoms, 0.5 * math.pi, 0.0), tau)
-    sp = complex(expectation(state, SpinOp.SP))
-    q = complex(expectation(state, SpinOp.SP_SZ)) + 0.5 * sp
-    sy2 = expectation(state, SpinOp.SY2)
-    sz2 = expectation(state, SpinOp.SZ2)
-    syz = 2.0 * q.imag
-
-    def variance(alpha: float) -> float:
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        return ca * ca * sz2 + sa * sa * sy2 + sa * ca * syz
-
-    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, spec.alpha_grid)
-    vals = -np.array([variance(a) for a in grid])
-    idx, flat = _best_grid_point(grid, vals)
-    if flat:
-        return 0.0
-    h = grid[1] - grid[0]
-    return _golden_max(
-        lambda a: -variance(a), grid[idx] - h, grid[idx] + h,
-        spec.refine_tolerance, spec.max_refine_iter,
-    )
+    return yz_moments(state).squeezed_axis()[0]
 
 
-def _optimized_row(
-    seq: SequenceConfig, spec: OptimizationSpec
-) -> tuple[float, float, float]:
-    """(alpha, beta, gain) for one scan point under the alpha policy."""
+def optimized_gain(seq: SequenceConfig, spec: OptimizationSpec | None = None) -> GainResult:
+    """Gain optimized over beta, with alpha chosen by ``spec.alpha_mode``."""
+    spec = spec or OptimizationSpec()
     if spec.alpha_mode == "scan":
-        res = optimize_alpha_beta(seq, spec)
-    else:
-        alpha = (
-            alpha_H(seq.n_atoms, seq.tau, spec)
-            if spec.alpha_mode == "alpha_H"
-            else spec.alpha_value
-        )
-        res = optimize_beta(replace(seq, alpha=alpha), spec)
-    return res.alpha, res.beta, res.gain
+        return optimize_alpha_beta(seq, spec)
+    alpha = (
+        alpha_H(seq.n_atoms, seq.tau)
+        if spec.alpha_mode == "alpha_H"
+        else spec.alpha_value
+    )
+    return optimize_beta(replace(seq, alpha=alpha))
 
 
 def _linear_reference(n_atoms: int, tau: float) -> float:
     return 1.0 / math.sqrt(xi2_closed(n_atoms, tau))
+
+
+def _scan_rows(cfg: AtomTrapConfig, m_values, spec: OptimizationSpec,
+               model: str) -> list[ScanRow]:
+    """Optimized rows for each oscillation count m of one trap."""
+    tau_half = tau_accumulated(cfg, model, 0.5 * cfg.period)
+    tt = tau_tilde(cfg, model)
+    rows = []
+    for m in m_values:
+        tau = 2.0 * float(m) * tau_half
+        res = optimized_gain(SequenceConfig(n_atoms=cfg.n_atoms, tau=tau, tau_tilde=tt), spec)
+        rows.append(ScanRow(
+            m=float(m), gamma=cfg.aspect_ratio, omega_z=cfg.omega_z,
+            n_atoms=cfg.n_atoms, tau=tau, tau_tilde=tt,
+            alpha=res.alpha, beta=res.beta, gain=res.gain,
+            gain_linear=_linear_reference(cfg.n_atoms, tau),
+        ))
+    return rows
 
 
 def scan_m(
@@ -319,23 +235,9 @@ def scan_m(
     tau_tilde fixed by the interrogation half-period, beta optimized, alpha
     per the policy in ``spec``.
     """
-    spec = spec or OptimizationSpec()
-    tau_half = tau_accumulated(trap, model, 0.5 * trap.period)
-    tt = tau_tilde(trap, model)
-    rows = []
     for m in m_values:
-        if m < 0 or abs(2 * m - round(2 * m)) > 1e-9:
-            raise ValueError(f"m values must be half-integers >= 0, got {m!r}")
-        tau = 2.0 * float(m) * tau_half
-        seq = SequenceConfig(n_atoms=trap.n_atoms, tau=tau, tau_tilde=tt)
-        alpha, beta, gain = _optimized_row(seq, spec)
-        rows.append(ScanRow(
-            m=float(m), gamma=trap.aspect_ratio, omega_z=trap.omega_z,
-            n_atoms=trap.n_atoms, tau=tau, tau_tilde=tt,
-            alpha=alpha, beta=beta, gain=gain,
-            gain_linear=_linear_reference(trap.n_atoms, tau),
-        ))
-    return rows
+        half_integer("m", m)
+    return _scan_rows(trap, m_values, spec or OptimizationSpec(), model)
 
 
 def scan_trap(
@@ -351,12 +253,13 @@ def scan_trap(
     sweep = "gamma" varies the aspect ratio at fixed omega_z; sweep =
     "omega_z" varies the axial frequency at fixed aspect ratio (the
     interrogation frequency keeps its ratio to omega_z).  Rows are emitted
-    per (value, m) pair with the alpha policy of ``spec`` (joint scan by
-    default, matching the fully optimized curves).
+    per (value, m) pair with the alpha policy of ``spec`` (alpha fixed at 0
+    by default, as in ``scan_m``; pass alpha_mode="scan" for the fully
+    optimized curves).
     """
     if sweep not in ("gamma", "omega_z"):
         raise ValueError(f"sweep must be 'gamma' or 'omega_z', got {sweep!r}")
-    spec = spec or OptimizationSpec(alpha_mode="scan")
+    spec = spec or OptimizationSpec()
     rows = []
     for value in values:
         if value <= 0:
@@ -364,24 +267,6 @@ def scan_trap(
         if sweep == "gamma":
             cfg = trap.with_aspect_ratio(float(value))
         else:
-            scale = float(value) / trap.omega_z
-            cfg = replace(
-                trap,
-                omega_x=trap.omega_x * scale,
-                omega_y=trap.omega_y * scale,
-                omega_z=float(value),
-                omega_z_tilde=trap.omega_z_tilde * scale,
-            )
-        tau_half = tau_accumulated(cfg, model, 0.5 * cfg.period)
-        tt = tau_tilde(cfg, model)
-        for m in m_values:
-            tau = 2.0 * float(m) * tau_half
-            seq = SequenceConfig(n_atoms=cfg.n_atoms, tau=tau, tau_tilde=tt)
-            alpha, beta, gain = _optimized_row(seq, spec)
-            rows.append(ScanRow(
-                m=float(m), gamma=cfg.aspect_ratio, omega_z=cfg.omega_z,
-                n_atoms=cfg.n_atoms, tau=tau, tau_tilde=tt,
-                alpha=alpha, beta=beta, gain=gain,
-                gain_linear=_linear_reference(cfg.n_atoms, tau),
-            ))
+            cfg = trap.with_omega_z(float(value))
+        rows += _scan_rows(cfg, m_values, spec, model)
     return rows

@@ -38,6 +38,7 @@ __all__ = [
     "tau_tilde",
     "tau_closed_form",
     "gravity_phase",
+    "half_integer",
 ]
 
 RB87_MASS = 1.4431e-25  # kg
@@ -53,6 +54,14 @@ GAUSSIAN_WIDTH_RATIO = (2.0 / (15.0**2 * math.pi)) ** 0.1 / math.sqrt(2.0)
 TRAP_MODELS = ("gaussian", "thomas_fermi")
 
 _QUAD_REL_TOL = 1e-6  # of chi_max * window, per the integration contract
+
+
+def half_integer(name: str, value):
+    """Return ``value`` if it is a finite half-integer >= 0, else raise
+    ValueError naming ``name``."""
+    if not (math.isfinite(value) and value >= 0 and abs(2 * value - round(2 * value)) < 1e-9):
+        raise ValueError(f"{name} must be a half-integer >= 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,9 +96,7 @@ class AtomTrapConfig:
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
         if abs(self.omega_x - self.omega_y) > 1e-12 * self.omega_x:
             raise ValueError("axial symmetry required: omega_x must equal omega_y")
-        m = self.oscillations
-        if not (math.isfinite(m) and m >= 0 and abs(2 * m - round(2 * m)) < 1e-9):
-            raise ValueError(f"oscillations must be a half-integer >= 0, got {m!r}")
+        half_integer("oscillations", self.oscillations)
 
     @property
     def aspect_ratio(self) -> float:
@@ -110,6 +117,18 @@ class AtomTrapConfig:
         """Same trap with radial frequencies set to gamma * omega_z."""
         w = gamma * self.omega_z
         return replace(self, omega_x=w, omega_y=w)
+
+    def with_omega_z(self, omega_z: float) -> "AtomTrapConfig":
+        """Same aspect ratio with the axial frequency set to omega_z; the
+        interrogation frequency keeps its ratio to omega_z."""
+        scale = omega_z / self.omega_z
+        return replace(
+            self,
+            omega_x=self.omega_x * scale,
+            omega_y=self.omega_y * scale,
+            omega_z=omega_z,
+            omega_z_tilde=self.omega_z_tilde * scale,
+        )
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,14 @@ class TestExitCodes:
         assert code == 2
         assert "slope" in err or "numerical" in err
 
+    def test_non_finite_numbers_are_usage_errors(self, capsys):
+        for args in (["scan-m", "--m-values", "nan"], ["scan-m", "--m-values", "inf"],
+                     ["gain", "--tau", "nan"],
+                     ["tau", "--sweep", "gamma", "--sweep-values", "nan"]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 1, args
+            assert "finite" in err
+
     def test_success_is_zero(self, capsys):
         code, out, err = run_cli(["gain"], capsys)
         assert code == 0

@@ -15,6 +15,7 @@ from braggtrap.dicke import (
     operator_matrix,
     wigner_d,
     wineland_xi2,
+    yz_moments,
 )
 from braggtrap.errors import DegenerateStateError
 
@@ -175,6 +176,23 @@ class TestExpectation:
 
     def test_accepts_string_labels(self, css_plus_x):
         assert expectation(css_plus_x(4), "sz2") == pytest.approx(1.0, rel=1e-12)
+
+
+class TestYZMoments:
+    def test_fields_equal_expectation(self, rng):
+        # n = 1 has no S_+^2 pairs
+        for n in (1, 2, 17, 300):
+            state = random_state(n, rng)
+            mom = yz_moments(state)
+            for field in ("sx", "sy", "sz", "sy2", "sz2"):
+                assert getattr(mom, field) == expectation(state, field)
+
+    def test_anticommutator_matches_dense(self, rng):
+        for n in (1, 2, 17):
+            state = random_state(n, rng)
+            sy, sz = operator_matrix(n, "sy"), operator_matrix(n, "sz")
+            dense = np.vdot(state.amplitudes, (sy @ sz + sz @ sy) @ state.amplitudes)
+            assert yz_moments(state).syz == pytest.approx(dense.real, abs=1e-12 * n * n)
 
 
 class TestWineland:

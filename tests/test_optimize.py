@@ -18,7 +18,7 @@ from braggtrap.sequence import SequenceConfig, gain_at_zero
 from braggtrap.trap import AtomTrapConfig, tau_accumulated, tau_tilde
 
 HEADLINE_TRAP = AtomTrapConfig()  # Rb-87, N=1000, 2 pi {20, 20, 100} Hz
-SMALL_SPEC = OptimizationSpec(alpha_grid=40, beta_grid_joint=40)
+SMALL_SPEC = OptimizationSpec(alpha_grid=40)
 
 
 def headline_sequence(m: float) -> SequenceConfig:
@@ -33,7 +33,7 @@ def headline_sequence(m: float) -> SequenceConfig:
 class TestSpecValidation:
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
-            OptimizationSpec(beta_grid=7)
+            OptimizationSpec(alpha_grid=7)
 
     def test_tolerance_range(self):
         with pytest.raises(ValueError):
@@ -68,10 +68,14 @@ class TestOptimizeBeta:
         res = optimize_beta(seq)
         assert res.gain <= 1.0 + 0.02
 
-    def test_fixed_beta_mode(self):
-        spec = OptimizationSpec(beta_mode="fixed", beta_value=0.3)
-        res = optimize_beta(SequenceConfig(n_atoms=60, tau=0.01), spec)
-        assert res.beta == 0.3
+    def test_no_grid_beta_beats_exact_optimum(self):
+        seq = SequenceConfig(n_atoms=60, tau=0.03, tau_tilde=0.01)
+        betas = np.linspace(-math.pi / 2, math.pi / 2, 723)[1:-1]
+        for alpha in (0.0, alpha_H(60, 0.03), 1.0):
+            cfg = replace(seq, alpha=alpha)
+            best = optimize_beta(cfg).gain
+            grid_best = max(gain_at_zero(replace(cfg, beta=float(b))).gain for b in betas)
+            assert grid_best <= best * (1.0 + 1e-12)
 
     def test_result_reproduces_fresh_evaluation(self):
         seq = headline_sequence(1.0)
@@ -120,7 +124,9 @@ class TestAlphaH:
         assert alpha_H(100, 1e-4) == pytest.approx(-math.pi / 4, abs=0.02)
 
     def test_flat_at_zero_twist(self):
-        assert alpha_H(100, 0.0) == 0.0
+        # rounding leaves a y-z anisotropy that grows with N
+        for n in (100, 1000, 4000, 10**4, 10**5):
+            assert alpha_H(n, 0.0) == 0.0
 
     def test_n2_branch(self):
         # oracle: fine grid over the exact Wineland parameter at S = 1
@@ -158,7 +164,7 @@ class TestScanM:
         rows0 = scan_m(HEADLINE_TRAP, [0.5, 1.0])
         rows_scan = scan_m(
             HEADLINE_TRAP, [0.5, 1.0],
-            OptimizationSpec(alpha_mode="scan", alpha_grid=40, beta_grid_joint=40),
+            OptimizationSpec(alpha_mode="scan", alpha_grid=40),
         )
         for fixed, scanned in zip(rows0, rows_scan):
             assert scanned.gain >= fixed.gain - 1e-6
@@ -175,11 +181,13 @@ class TestScanM:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             scan_m(HEADLINE_TRAP, [0.3])
+        with pytest.raises(ValueError, match="m must"):
+            scan_m(HEADLINE_TRAP, [math.inf])
 
 
 @pytest.fixture(scope="module")
 def gamma_rows():
-    spec = OptimizationSpec(alpha_mode="scan", alpha_grid=24, beta_grid_joint=24)
+    spec = OptimizationSpec(alpha_mode="scan", alpha_grid=24)
     return scan_trap(HEADLINE_TRAP, "gamma", [0.2, 0.5, 1.0],
                      m_values=(0.5, 1.0), spec=spec)
 
@@ -213,12 +221,16 @@ class TestScanTrap:
         assert all(row.gain_linear <= ceiling for row in gamma_rows)
 
     def test_omega_sweep_shape(self):
-        spec = OptimizationSpec(alpha_mode="scan", alpha_grid=16, beta_grid_joint=16)
+        spec = OptimizationSpec(alpha_mode="scan", alpha_grid=16)
         spherical = HEADLINE_TRAP.with_aspect_ratio(1.0)
         rows = scan_trap(spherical, "omega_z", [2 * math.pi * 60.0, 2 * math.pi * 120.0],
                          m_values=(0.5,), spec=spec)
         assert [round(r.omega_z / (2 * math.pi)) for r in rows] == [60, 120]
         assert all(r.gamma == pytest.approx(1.0) for r in rows)
+
+    def test_default_policy_is_alpha_fixed(self):
+        args = (HEADLINE_TRAP, "gamma", [0.5], (1.0,))
+        assert scan_trap(*args) == scan_trap(*args, spec=OptimizationSpec())
 
     def test_rejects_bad_sweep(self):
         with pytest.raises(ValueError):

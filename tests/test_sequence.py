@@ -122,7 +122,7 @@ class TestGainAtZero:
         # tau at the squeezing optimum, no interrogation twisting
         from braggtrap.optimize import alpha_H
 
-        alpha = alpha_H(1000, 0.012, OptimizationSpec(refine_tolerance=1e-7))
+        alpha = alpha_H(1000, 0.012)
         res = gain_at_zero(SequenceConfig(n_atoms=1000, tau=0.012, alpha=alpha))
         assert res.gain == pytest.approx(10.0, rel=0.15)
         assert res.gain == pytest.approx(1.0 / math.sqrt(xi2_closed(1000, 0.012)), rel=1e-6)
@@ -156,7 +156,7 @@ class TestSensitivity:
 
     def test_sub_shot_noise_optimized(self):
         seq = SequenceConfig(n_atoms=500, tau=0.01, tau_tilde=0.002)
-        spec = OptimizationSpec(alpha_grid=40, beta_grid_joint=40)
+        spec = OptimizationSpec(alpha_grid=40)
         best = optimize_alpha_beta(seq, spec)
         res = sensitivity(replace(seq, alpha=best.alpha, beta=best.beta))
         assert res.delta_theta < 1.0 / math.sqrt(500)
