@@ -68,7 +68,7 @@ def _half_integer(key: str, value):
         raise UsageError(str(exc)) from exc
 
 
-def _atoms(key: str, value):
+def _at_least_two(key: str, value):
     if value < 2:
         raise UsageError(f"{key} must be >= 2, got {value}")
     return value
@@ -96,6 +96,14 @@ def _float_list(key: str, value):
     return items
 
 
+def _positive_list(key: str, value):
+    return [_positive(key, v) for v in _float_list(key, value)]
+
+
+def _half_integer_list(key: str, value):
+    return [_half_integer(key, m) for m in _float_list(key, value)]
+
+
 def _identity(key, value):
     return value
 
@@ -103,7 +111,7 @@ def _identity(key, value):
 # name -> (python type, default, unit, help, validator); the single source of
 # truth for flags, config-file keys, and --help text.
 KEYS = {
-    "n_atoms": (int, 1000, "dimensionless", "atom number N", _atoms),
+    "n_atoms": (int, 1000, "dimensionless", "atom number N", _at_least_two),
     "atom_mass_kg": (float, RB87_MASS, "kg", "atomic mass M", _positive),
     "scattering_length_m": (float, RB87_SCATTERING_LENGTH, "m", "s-wave scattering length a", _positive),
     "omega_x_hz": (float, 20.0, "Hz", "radial trap frequency nu_x (angular = 2*pi*nu)", _positive),
@@ -129,11 +137,11 @@ KEYS = {
     "theta_min_rad": (float, -math.pi, "rad", "fringe sweep: smallest theta", _identity),
     "theta_max_rad": (float, math.pi, "rad", "fringe sweep: largest theta", _identity),
     "theta_steps": (int, 73, "dimensionless", "fringe sweep: number of points", _positive),
-    "m_values": (list, [0.5 * k for k in range(0, 11)], "dimensionless", "comma-separated oscillation counts", _float_list),
+    "m_values": (list, [0.5 * k for k in range(0, 11)], "dimensionless", "comma-separated oscillation counts", _half_integer_list),
     "sweep": (str, "omega-z", "enum", "scan-trap axis: gamma | omega-z", _choice("gamma", "omega-z")),
-    "sweep_values": (list, None, "Hz or dimensionless", "comma-separated sweep values (Hz for omega-z, ratio for gamma)", _float_list),
-    "n_polar": (int, 64, "dimensionless", "Husimi polar grid size", _positive),
-    "n_azimuth": (int, 128, "dimensionless", "Husimi azimuth grid size", _positive),
+    "sweep_values": (list, None, "Hz or dimensionless", "comma-separated sweep values (Hz for omega-z, ratio for gamma)", _positive_list),
+    "n_polar": (int, 64, "dimensionless", "Husimi polar grid size", _at_least_two),
+    "n_azimuth": (int, 128, "dimensionless", "Husimi azimuth grid size", _at_least_two),
     "chi_curve": (str, None, "path", "also write chi(t) samples to this CSV file", _identity),
     "output": (str, "-", "path", "output file for the data ('-' = stdout)", _identity),
 }
@@ -311,12 +319,15 @@ def _sequence_from_params(params: dict) -> SequenceConfig:
 
 def _spec_from_params(params: dict) -> OptimizationSpec:
     policy = {"fixed": "fixed", "alpha-h": "alpha_H", "scan": "scan"}[params["alpha_policy"]]
-    return OptimizationSpec(
-        alpha_mode=policy,
-        alpha_value=params.get("alpha_rad", 0.0),
-        alpha_grid=params["alpha_grid"],
-        refine_tolerance=params["refine_tolerance_rad"],
-    )
+    try:
+        return OptimizationSpec(
+            alpha_mode=policy,
+            alpha_value=params.get("alpha_rad", 0.0),
+            alpha_grid=params["alpha_grid"],
+            refine_tolerance=params["refine_tolerance_rad"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _fmt(value) -> str:
@@ -377,8 +388,6 @@ def _run_tau(params: dict, manifest: dict) -> list[str]:
     m = base.oscillations
     rows = []
     for value in values:
-        if value <= 0:
-            raise UsageError(f"sweep_values must be positive, got {value}")
         if sweep == "gamma":
             cfg = base.with_aspect_ratio(value)
         else:
@@ -434,8 +443,6 @@ def _scan_rows_csv(rows) -> str:
 
 def _run_scan_m(params: dict, manifest: dict) -> list[str]:
     trap = _trap_from_params(params)
-    for m in params["m_values"]:
-        _half_integer("m_values", m)
     rows = scan_m(trap, params["m_values"], _spec_from_params(params), params["model"])
     return _emit(_scan_rows_csv(rows), params["output"], manifest)
 
@@ -448,7 +455,9 @@ def _run_scan_trap(params: dict, manifest: dict) -> list[str]:
         values = [0.2, 0.5, 1.0, 1.5, 2.0] if sweep == "gamma" else [50.0, 100.0, 150.0, 200.0]
     if sweep == "omega_z":
         values = [TWO_PI * v for v in values]  # accepted in Hz
-    m_values = [m for m in params["m_values"] if m > 0] or [0.5, 1.0]
+    m_values = [m for m in params["m_values"] if m > 0]
+    if not m_values:
+        raise UsageError("m_values must contain at least one m > 0")
     rows = scan_trap(trap, sweep, values, m_values, _spec_from_params(params), params["model"])
     return _emit(_scan_rows_csv(rows), params["output"], manifest)
 

@@ -395,16 +395,13 @@ def wineland_xi2(state: DickeState) -> float:
     The variance axis is fixed to z; orient the state with a pre-rotation if
     the squeezed quadrature lies elsewhere.
     """
-    sp = complex(expectation(state, SpinOp.SP))
-    sx, sy = sp.real, sp.imag
-    denom = sx * sx + sy * sy
+    mom = yz_moments(state)
+    denom = mom.sx * mom.sx + mom.sy * mom.sy
     if denom < 1e-20 * state.spin**2:
         raise DegenerateStateError(
             f"mean spin length {math.sqrt(denom):.3e} too small for xi^2"
         )
-    sz = expectation(state, SpinOp.SZ)
-    sz2 = expectation(state, SpinOp.SZ2)
-    return state.n_atoms * (sz2 - sz * sz) / denom
+    return state.n_atoms * (mom.sz2 - mom.sz * mom.sz) / denom
 
 
 def husimi_grid(state: DickeState, n_polar: int, n_azimuth: int) -> HusimiGrid:

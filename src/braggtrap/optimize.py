@@ -208,6 +208,8 @@ def _linear_reference(n_atoms: int, tau: float) -> float:
 def _scan_rows(cfg: AtomTrapConfig, m_values, spec: OptimizationSpec,
                model: str) -> list[ScanRow]:
     """Optimized rows for each oscillation count m of one trap."""
+    for m in m_values:
+        half_integer("m", m)
     tau_half = tau_accumulated(cfg, model, 0.5 * cfg.period)
     tt = tau_tilde(cfg, model)
     rows = []
@@ -235,8 +237,6 @@ def scan_m(
     tau_tilde fixed by the interrogation half-period, beta optimized, alpha
     per the policy in ``spec``.
     """
-    for m in m_values:
-        half_integer("m", m)
     return _scan_rows(trap, m_values, spec or OptimizationSpec(), model)
 
 

@@ -7,7 +7,8 @@ The sequence on the +x coherent input state is
 
 with the y-axis block produced by conjugating diagonal z evolution with the
 two pi/2 Bragg pulses.  The sensitivity gain over the shot-noise limit
-1/sqrt(N) follows from linear error propagation on <S_z> at the output.
+1/sqrt(N) follows from linear error propagation on <S_z> at the output,
+with the exact phase slope d<S_z>/d theta = -cos(beta) <S_x>.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import xi2_closed
-from .dicke import DickeState, PulseSpec, SpinOp, apply_oat, apply_rotation, expectation, make_css
+from .dicke import DickeState, PulseSpec, apply_oat, apply_rotation, make_css, yz_moments
 from .errors import DegenerateStateError, FlatSlopeError
 from .trap import AtomTrapConfig, gravity_phase, tau_accumulated, tau_tilde
 
@@ -34,8 +35,6 @@ __all__ = [
     "signal_curve",
     "sequence_from_trap",
 ]
-
-_FD_STEP = 1e-5  # central-difference step for d<S_z>/d theta away from 0
 
 
 @dataclass(frozen=True)
@@ -121,17 +120,26 @@ def run_sequence_stepwise(config: SequenceConfig) -> DickeState:
 
 def output_moments(config: SequenceConfig) -> tuple[float, float, float]:
     """(<S_x>, <S_z>, <S_z^2>) of the sequence output state."""
-    out = run_sequence(config)
-    return (
-        expectation(out, SpinOp.SX),
-        expectation(out, SpinOp.SZ),
-        expectation(out, SpinOp.SZ2),
-    )
+    mom = yz_moments(run_sequence(config))
+    return mom.sx, mom.sz, mom.sz2
 
 
-def _result(config: SequenceConfig, sx: float, sz: float, sz2: float,
-            slope: float) -> GainResult:
+def sensitivity(config: SequenceConfig) -> GainResult:
+    """Phase sensitivity by linear error propagation at the configured theta.
+
+    Delta theta = sqrt(Var S_z) / |d<S_z>/d theta|.  theta is a z phase just
+    before the closing x pulses, which keep S_x and map S_z to
+    sin(beta) S_z - cos(beta) S_y; since [S_z, S_y] = -i S_x the slope is
+    exactly -cos(beta) <S_x> on the output state at every theta.
+    """
     n = config.n_atoms
+    sx, sz, sz2 = output_moments(config)
+    slope = -math.cos(config.beta) * sx
+    if abs(slope) < 1e-12 * max(1.0, 0.5 * n):
+        raise FlatSlopeError(
+            f"slope d<S_z>/d theta = {slope:.3e} at theta = {config.theta}: "
+            "insensitive working point"
+        )
     var = sz2 - sz * sz
     if var < 1e-20 * (0.5 * n) ** 2:
         raise DegenerateStateError(f"output S_z variance {var:.3e} is degenerate")
@@ -148,41 +156,9 @@ def _result(config: SequenceConfig, sx: float, sz: float, sz2: float,
 
 
 def gain_at_zero(config: SequenceConfig) -> GainResult:
-    """Sensitivity gain at the theta = 0 working point.
-
-    G^2 = <S_x>^2 cos^2(beta) / (N Var S_z) on the output state; the slope
-    d<S_z>/d theta is the analytic -cos(beta) <S_x>.
-    """
-    cfg = replace(config, theta=0.0)
-    sx, sz, sz2 = output_moments(cfg)
-    slope = -math.cos(cfg.beta) * sx
-    if abs(slope) < 1e-12 * max(1.0, 0.5 * cfg.n_atoms):
-        raise FlatSlopeError(f"slope {slope:.3e} vanishes at theta = 0")
-    return _result(cfg, sx, sz, sz2, slope)
-
-
-def sensitivity(config: SequenceConfig) -> GainResult:
-    """Phase sensitivity by linear error propagation at the configured theta.
-
-    Delta theta = sqrt(Var S_z) / |d<S_z>/d theta|; the slope is analytic at
-    theta = 0 and a central finite difference elsewhere.
-    """
-    sx, sz, sz2 = output_moments(config)
-    if config.theta == 0.0:
-        slope = -math.cos(config.beta) * sx
-        floor = 1e-12 * max(1.0, 0.5 * config.n_atoms)
-    else:
-        _, sz_plus, _ = output_moments(replace(config, theta=config.theta + _FD_STEP))
-        _, sz_minus, _ = output_moments(replace(config, theta=config.theta - _FD_STEP))
-        slope = (sz_plus - sz_minus) / (2.0 * _FD_STEP)
-        # central differences carry rounding noise of order eps * S / step
-        floor = 1e-8 * max(1.0, 0.5 * config.n_atoms)
-    if abs(slope) < floor:
-        raise FlatSlopeError(
-            f"d<S_z>/d theta = {slope:.3e} at theta = {config.theta}: "
-            "insensitive working point"
-        )
-    return _result(config, sx, sz, sz2, slope)
+    """Sensitivity gain at the theta = 0 working point,
+    G^2 = <S_x>^2 cos^2(beta) / (N Var S_z) on the output state."""
+    return sensitivity(replace(config, theta=0.0))
 
 
 def signal_curve(

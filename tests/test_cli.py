@@ -81,6 +81,24 @@ class TestExitCodes:
             assert code == 1, args
             assert "finite" in err
 
+    def test_bad_scan_trap_m_is_usage_error(self, capsys):
+        for args in (["--m-values", "0.3"], ["--m-values=-1,-2"], ["--m-values=0"]):
+            code, _, err = run_cli(["scan-trap", *args], capsys)
+            assert code == 1, args
+            assert "m_values" in err
+
+    def test_out_of_range_values_are_usage_errors(self, capsys):
+        for args, key in (
+            (["scan-trap", "--sweep", "gamma", "--sweep-values=-1"], "sweep_values"),
+            (["optimize", "--alpha-policy", "scan", "--alpha-grid", "5"], "alpha_grid"),
+            (["optimize", "--alpha-policy", "scan", "--refine-tolerance-rad", "0.5"],
+             "refine_tolerance"),
+            (["husimi", "--n-polar", "1"], "n_polar"),
+        ):
+            code, _, err = run_cli(args, capsys)
+            assert code == 1, args
+            assert key in err
+
     def test_success_is_zero(self, capsys):
         code, out, err = run_cli(["gain"], capsys)
         assert code == 0

@@ -193,6 +193,10 @@ def gamma_rows():
 
 
 class TestScanTrap:
+    def test_rejects_bad_m(self):
+        for m in (0.3, -1):
+            with pytest.raises(ValueError, match="m must"):
+                scan_trap(HEADLINE_TRAP, "gamma", [1.0], m_values=(m,))
 
     def test_linear_reference_wins_below_optimum(self, gamma_rows):
         tau_opt = 1.2 * 1000 ** (-2.0 / 3.0)

@@ -163,24 +163,37 @@ class TestSensitivity:
         assert res.gain > 1.0
 
     def test_finite_difference_matches_analytic(self):
-        # |FD slope - (-cos(beta) <S_x>_out)| <= 1e-6 relative at theta = 0
+        # the slope is exactly -cos(beta) <S_x>_out at every theta; a central
+        # difference of <S_z> agrees with it to 1e-6 relative
         for cfg in (
             SequenceConfig(n_atoms=50, tau=0.05, tau_tilde=0.01, alpha=0.4, beta=0.2),
             SequenceConfig(n_atoms=500, tau=0.008, tau_tilde=0.001, alpha=-0.6, beta=0.5),
+            SequenceConfig(n_atoms=50, tau=0.05, tau_tilde=0.01, alpha=0.4, beta=0.2,
+                           theta=0.3),
+            SequenceConfig(n_atoms=200, tau=0.02, tau_tilde=0.004, alpha=-0.5, beta=-0.7,
+                           theta=-1.1),
+            SequenceConfig(n_atoms=500, tau=0.008, tau_tilde=0.001, alpha=-0.6, beta=0.5,
+                           theta=2.0),
         ):
             sx, _, _ = output_moments(cfg)
-            analytic = -math.cos(cfg.beta) * sx
+            slope = sensitivity(cfg).d_sz_d_theta
+            assert slope == -math.cos(cfg.beta) * sx
             h = 1e-5
-            _, up, _ = output_moments(replace(cfg, theta=h))
-            _, dn, _ = output_moments(replace(cfg, theta=-h))
+            _, up, _ = output_moments(replace(cfg, theta=cfg.theta + h))
+            _, dn, _ = output_moments(replace(cfg, theta=cfg.theta - h))
             fd = (up - dn) / (2.0 * h)
-            assert fd == pytest.approx(analytic, rel=1e-6)
+            assert fd == pytest.approx(slope, rel=1e-6)
 
-    def test_general_theta_uses_finite_difference(self):
+    def test_general_theta_uses_analytic_slope(self):
         cfg = SequenceConfig(n_atoms=40, theta=0.7)
         res = sensitivity(cfg)
         # pure rotation: slope is -S cos(theta), variance frozen at S/2
         assert res.d_sz_d_theta == pytest.approx(-20.0 * math.cos(0.7), rel=1e-6)
+
+    def test_gain_at_zero_is_sensitivity_at_zero(self):
+        cfg = SequenceConfig(n_atoms=300, tau=0.01, tau_tilde=0.002,
+                             alpha=0.3, beta=0.2, theta=1.3)
+        assert gain_at_zero(cfg) == sensitivity(replace(cfg, theta=0.0))
 
 
 class TestSignalCurve:
