@@ -24,12 +24,13 @@ import numpy as np
 
 from . import __version__
 from .closed_form import xi2_closed
-from .dicke import apply_oat, husimi_grid, make_css, yz_moments
+from .dicke import husimi_grid, spin_moments
 from .errors import BraggTrapError
 from .optimize import OptimizationSpec, optimized_gain, scan_m, scan_trap
 from .sequence import (
     SequenceConfig,
     gain_at_zero,
+    prepared_state,
     run_sequence,
     sequence_from_trap,
     signal_curve,
@@ -365,9 +366,8 @@ def _emit(text: str, path: str, manifest: dict) -> list[str]:
 
 def _xi_optimal(n_atoms: int, tau: float) -> float:
     """Orientation-optimized Wineland xi from the exact twisted state."""
-    mom = yz_moments(apply_oat(make_css(n_atoms, 0.5 * math.pi, 0.0), tau))
-    _, var_min = mom.squeezed_axis()
-    return math.sqrt(n_atoms * var_min / (mom.sx**2 + mom.sy**2))
+    mom = spin_moments(prepared_state(SequenceConfig(n_atoms=n_atoms, tau=tau)))
+    return math.sqrt(mom.xi2(n_atoms, mom.squeezed_axis()[1]))
 
 
 def _run_squeeze(params: dict, manifest: dict) -> list[str]:

@@ -37,8 +37,8 @@ __all__ = [
     "apply_oat",
     "apply_rotation",
     "expectation",
-    "YZMoments",
-    "yz_moments",
+    "SpinMoments",
+    "spin_moments",
     "wineland_xi2",
     "husimi_grid",
     "operator_matrix",
@@ -283,7 +283,7 @@ def apply_rotation(state: DickeState, pulse: PulseSpec) -> DickeState:
 
 
 def _raising_sums(state: DickeState) -> dict:
-    """Raw ladder sums reused by the expectation kernels."""
+    """Raw ladder sums read by the moment kernel and the Hermitian labels."""
     c = state.amplitudes
     j = state.spin
     m = state.m_values
@@ -292,21 +292,27 @@ def _raising_sums(state: DickeState) -> dict:
     up1 = np.conj(c[:-1]) * c[1:]  # pairs (i-1, i)
     up2 = np.conj(c[:-2]) * c[2:]  # pairs (i-2, i); empty for n = 1
     ff = f[2:] * f[1:-1]
-    a2 = j * (j + 1.0) - m * (m - 1.0)  # eigenvalues of S_+ S_-
     return {
         "sp": np.sum(up1 * f[1:]),
         "sp_sz": np.sum(up1 * f[1:] * m[1:]),
-        "sp_sz2": np.sum(up1 * f[1:] * m[1:] ** 2),
         "sm": np.sum(np.conj(c[1:]) * c[:-1] * f[1:]),
         "sz": np.sum(pops * m),
         "sz2": np.sum(pops * m * m),
-        "sp_sm": np.sum(pops * a2),
+        "sp_sm": np.sum(pops * (j * (j + 1.0) - m * (m - 1.0))),
         "sm_sp": np.sum(pops * (j * (j + 1.0) - m * (m + 1.0))),
         "sp2": np.sum(up2 * ff),
-        "sp2_sz": np.sum(up2 * ff * m[2:]),
         "sm2": np.sum(np.conj(c[2:]) * c[:-2] * ff),
-        "sp2_sm": np.sum(up1 * a2[1:] * f[1:]),
     }
+
+
+# Third-order ladder sums, which only ``expectation`` reads, from the
+# amplitudes c, the S_+ strengths f, the m values and the spin j.
+_THIRD_ORDER = {
+    SpinOp.SP_SZ2: lambda c, f, m, j: np.sum(np.conj(c[:-1]) * c[1:] * f[1:] * m[1:] ** 2),
+    SpinOp.SP2_SZ: lambda c, f, m, j: np.sum(np.conj(c[:-2]) * c[2:] * (f[2:] * f[1:-1]) * m[2:]),
+    SpinOp.SP2_SM: lambda c, f, m, j: np.sum(
+        np.conj(c[:-1]) * c[1:] * (j * (j + 1.0) - m[1:] * (m[1:] - 1.0)) * f[1:]),
+}
 
 
 # Each Hermitian label: the power of S setting its magnitude scale (which
@@ -343,21 +349,35 @@ def expectation(state: DickeState, op: SpinOp | str) -> complex | float:
     a larger residue indicates an operator-kernel bug and raises.
     """
     op = SpinOp(op)
+    if op in _THIRD_ORDER:
+        f = _ladder_strengths(state.n_atoms)
+        return complex(_THIRD_ORDER[op](state.amplitudes, f, state.m_values, state.spin))
     sums = _raising_sums(state)
     if op in _HERMITIAN:
         return _hermitian(sums, op, state.spin)
     return complex(sums[op.value])
 
 
-class YZMoments(NamedTuple):
-    """Means and y-z second moments; syz is <{S_y, S_z}>."""
+class SpinMoments(NamedTuple):
+    """Means and second moments of (S_x, S_y, S_z); sxy, sxz and syz are the
+    anticommutator expectations <{S_i, S_j}>."""
 
     sx: float
     sy: float
     sz: float
+    sx2: float
     sy2: float
     sz2: float
+    sxy: float
+    sxz: float
     syz: float
+
+    def covariance(self) -> np.ndarray:
+        """Symmetric 3x3 covariance <{S_i, S_j}>/2 - <S_i><S_j>, ordered x, y, z."""
+        mean = np.array(self[:3])
+        return 0.5 * np.array([[2.0 * self.sx2, self.sxy, self.sxz],
+                               [self.sxy, 2.0 * self.sy2, self.syz],
+                               [self.sxz, self.syz, 2.0 * self.sz2]]) - np.outer(mean, mean)
 
     def squeezed_axis(self) -> tuple[float, float]:
         """(alpha, smallest second moment) of the y-z block.
@@ -373,20 +393,31 @@ class YZMoments(NamedTuple):
             return 0.0, smallest
         return 0.5 * math.atan2(-self.syz, self.sy2 - self.sz2), smallest
 
+    def xi2(self, n_atoms: int, variance: float) -> float:
+        """Wineland ratio N variance / (<S_x>^2 + <S_y>^2) for a variance of
+        this state; raises when the mean spin is too short to define it."""
+        denom = self.sx**2 + self.sy**2
+        if denom < 1e-20 * (0.5 * n_atoms) ** 2:
+            raise DegenerateStateError(
+                f"mean spin length {math.sqrt(denom):.3e} too small for xi^2")
+        return n_atoms * variance / denom
 
-def yz_moments(state: DickeState) -> YZMoments:
-    """<S_x>, <S_y>, <S_z>, <S_y^2>, <S_z^2> and <{S_y, S_z}> from one pass.
+
+def spin_moments(state: DickeState) -> SpinMoments:
+    """Means, squares and anticommutators of the spin components, one pass.
 
     The Hermitian fields equal ``expectation`` of the same labels exactly.
     """
     sums = _raising_sums(state)
-    sx, sy, sz, sy2, sz2 = (
+    sx, sy, sz, sx2, sy2, sz2 = (
         _hermitian(sums, op, state.spin)
-        for op in (SpinOp.SX, SpinOp.SY, SpinOp.SZ, SpinOp.SY2, SpinOp.SZ2)
+        for op in (SpinOp.SX, SpinOp.SY, SpinOp.SZ, SpinOp.SX2, SpinOp.SY2, SpinOp.SZ2)
     )
-    # {S_y, S_z} = 2 Im(S_+ (S_z + 1/2)) as an expectation value
-    syz = 2.0 * complex(sums["sp_sz"] + 0.5 * sums["sp"]).imag
-    return YZMoments(sx, sy, sz, sy2, sz2, syz)
+    # {S_x, S_y} = Im(S_+^2), and {S_x, S_z} + i {S_y, S_z} = 2 S_+ (S_z + 1/2),
+    # as expectation values
+    sxy = complex(sums["sp2"]).imag
+    sp_half = complex(sums["sp_sz"] + 0.5 * sums["sp"])
+    return SpinMoments(sx, sy, sz, sx2, sy2, sz2, sxy, 2.0 * sp_half.real, 2.0 * sp_half.imag)
 
 
 def wineland_xi2(state: DickeState) -> float:
@@ -395,13 +426,8 @@ def wineland_xi2(state: DickeState) -> float:
     The variance axis is fixed to z; orient the state with a pre-rotation if
     the squeezed quadrature lies elsewhere.
     """
-    mom = yz_moments(state)
-    denom = mom.sx * mom.sx + mom.sy * mom.sy
-    if denom < 1e-20 * state.spin**2:
-        raise DegenerateStateError(
-            f"mean spin length {math.sqrt(denom):.3e} too small for xi^2"
-        )
-    return state.n_atoms * (mom.sz2 - mom.sz * mom.sz) / denom
+    mom = spin_moments(state)
+    return mom.xi2(state.n_atoms, mom.sz2 - mom.sz * mom.sz)
 
 
 def husimi_grid(state: DickeState, n_polar: int, n_azimuth: int) -> HusimiGrid:

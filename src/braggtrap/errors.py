@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["BraggTrapError", "DegenerateStateError", "FlatSlopeError", "QuadratureError"]
+
 
 class BraggTrapError(Exception):
     """Base class for numerical and physical-domain failures."""

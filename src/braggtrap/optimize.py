@@ -1,13 +1,11 @@
 """Gain optimization over the pre/post rotation angles and parameter scans.
 
-The final beta pulse only mixes S_y and S_z, so for a given alpha the gain is
-a ratio of quadratics in tan(beta) of six moments of the state entering the
-last pulse (``dicke.yz_moments``), and its maximizing beta is exact.  alpha_H
-is the exact principal axis of the twisted state's y-z second moments.  Only
-the joint optimum needs a search, and only over alpha: a deterministic grid
-with golden-section refinement, so identical inputs give identical outputs.
-Every optimizer re-evaluates the winning angles through the full pipeline
-before reporting.
+For a given alpha, one moment pass on the state before the phase
+(``sequence.pre_phase_state``) gives the exact optimal beta
+(``sequence.best_beta``) and the reported gain.  alpha_H is the exact
+principal axis of the twisted state's y-z second moments.  Only the joint
+optimum needs a search, and only over alpha: a deterministic grid with
+golden-section refinement, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -19,9 +17,15 @@ from typing import Callable
 import numpy as np
 
 from .closed_form import xi2_closed
-from .dicke import DickeState, PulseSpec, apply_oat, apply_rotation, make_css, yz_moments
-from .errors import DegenerateStateError
-from .sequence import GainResult, SequenceConfig, gain_at_zero, prepared_state
+from .dicke import SpinMoments, spin_moments
+from .sequence import (
+    GainResult,
+    SequenceConfig,
+    best_beta,
+    gain_from_moments,
+    pre_phase_state,
+    prepared_state,
+)
 from .trap import AtomTrapConfig, half_integer, tau_accumulated, tau_tilde
 
 __all__ = [
@@ -84,28 +88,6 @@ class ScanRow:
     gain_linear: float
 
 
-def _best_beta(prepared: DickeState, tau_tilde: float, alpha: float) -> tuple[float, float]:
-    """(G^2, beta) at the exact optimum of the closing pulse for this alpha.
-
-    R_x(alpha) R_x(pi/2) is one rotation, and the moments are taken after the
-    interrogation twist.  The closing R_x(beta) R_x(-pi/2) maps S_z to
-    sin(beta) S_z - cos(beta) S_y, so with t = tan(beta) and
-    K = <{S_y, S_z}> - 2 <S_y><S_z>,
-    G^2 = <S_x>^2 / (N (Var S_y + t^2 Var S_z - t K)),
-    largest at t = K / (2 Var S_z).
-    """
-    state = apply_rotation(prepared, PulseSpec("x", alpha + 0.5 * math.pi))
-    mom = yz_moments(apply_oat(state, tau_tilde))
-    var_y = mom.sy2 - mom.sy * mom.sy
-    var_z = mom.sz2 - mom.sz * mom.sz
-    k = mom.syz - 2.0 * mom.sy * mom.sz
-    denom = var_y - k * k / (4.0 * var_z) if var_z > 0.0 else 0.0
-    if denom <= 0.0:
-        raise DegenerateStateError(
-            f"smallest output S_z variance {denom:.3e} is not positive at alpha={alpha}")
-    return mom.sx**2 / (prepared.n_atoms * denom), math.atan(0.5 * k / var_z)
-
-
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Golden-section maximizer on [lo, hi]; returns the bracket midpoint."""
     a, b = lo, hi
@@ -126,21 +108,17 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return 0.5 * (a + b)
 
 
-def _finish(config: SequenceConfig, alpha: float, beta: float,
-            flat: bool) -> GainResult:
-    result = gain_at_zero(replace(config, alpha=alpha, beta=beta))
-    return replace(result, flat_landscape=flat)
-
-
 def optimize_beta(config: SequenceConfig) -> GainResult:
     """Maximize the theta = 0 gain over the final pulse angle beta.
 
     The maximizer is exact.  A landscape whose peak G^2 is below 1e-12 (it
     vanishes at beta = +-pi/2) is reported via flat_landscape with beta = 0.
     """
-    g2, beta = _best_beta(prepared_state(config), config.tau_tilde, config.alpha)
+    mom = spin_moments(pre_phase_state(prepared_state(config), config.alpha, config.tau_tilde))
+    g2, beta = best_beta(mom, config.n_atoms)
     flat = g2 < _FLAT_EPS
-    return _finish(config, config.alpha, 0.0 if flat else beta, flat)
+    result = gain_from_moments(replace(config, beta=0.0 if flat else beta, theta=0.0), mom)
+    return replace(result, flat_landscape=flat)
 
 
 def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = None) -> GainResult:
@@ -153,13 +131,17 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
     spec = spec or OptimizationSpec()
     prepared = prepared_state(config)
 
-    def profile(alpha: float) -> tuple[float, float]:
-        return _best_beta(prepared, config.tau_tilde, alpha)
+    def profile(alpha: float) -> tuple[float, float, SpinMoments]:
+        mom = spin_moments(pre_phase_state(prepared, alpha, config.tau_tilde))
+        return (*best_beta(mom, config.n_atoms), mom)
 
     alphas = np.linspace(0.0, math.pi, spec.alpha_grid, endpoint=False)
-    vals = [profile(float(a))[0] for a in alphas]
+    profiles = [profile(float(a)) for a in alphas]
+    vals = [p[0] for p in profiles]
     if max(vals) < _FLAT_EPS:
-        return _finish(config, 0.0, 0.0, True)
+        result = gain_from_moments(replace(config, alpha=0.0, beta=0.0, theta=0.0),
+                                   profiles[0][2])
+        return replace(result, flat_landscape=True)
 
     ranked = sorted(range(alphas.size), key=lambda i: (-vals[i], abs(alphas[i])))
     h = alphas[1] - alphas[0]
@@ -168,12 +150,11 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
         a0 = float(alphas[i])
         alpha = _golden_max(lambda a: profile(a)[0], a0 - h, a0 + h,
                             spec.refine_tolerance)
-        g2, beta = profile(alpha)
-        candidates.append((g2, alpha, beta))
-    best = max(c[0] for c in candidates)
-    keep = [c for c in candidates if c[0] >= best - _FLAT_EPS]
-    _, alpha, beta = min(keep, key=lambda c: (abs(c[1]), abs(c[2])))
-    return _finish(config, alpha, beta, False)
+        candidates.append((alpha, *profile(alpha)))
+    best = max(c[1] for c in candidates)
+    keep = [c for c in candidates if c[1] >= best - _FLAT_EPS]
+    alpha, _, beta, mom = min(keep, key=lambda c: (abs(c[0]), abs(c[2])))
+    return gain_from_moments(replace(config, alpha=alpha, beta=beta, theta=0.0), mom)
 
 
 def alpha_H(n_atoms: int, tau: float) -> float:
@@ -184,8 +165,8 @@ def alpha_H(n_atoms: int, tau: float) -> float:
     to -pi/4 for weak twisting; at tau = 0 the landscape is flat and 0 is
     returned.
     """
-    state = apply_oat(make_css(n_atoms, 0.5 * math.pi, 0.0), tau)
-    return yz_moments(state).squeezed_axis()[0]
+    prepared = prepared_state(SequenceConfig(n_atoms=n_atoms, tau=tau))
+    return spin_moments(prepared).squeezed_axis()[0]
 
 
 def optimized_gain(seq: SequenceConfig, spec: OptimizationSpec | None = None) -> GainResult:

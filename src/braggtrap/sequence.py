@@ -6,9 +6,10 @@ The sequence on the +x coherent input state is
           * exp(-i tau S_z^2) |+x>,
 
 with the y-axis block produced by conjugating diagonal z evolution with the
-two pi/2 Bragg pulses.  The sensitivity gain over the shot-noise limit
-1/sqrt(N) follows from linear error propagation on <S_z> at the output,
-with the exact phase slope d<S_z>/d theta = -cos(beta) <S_x>.
+two pi/2 Bragg pulses.  The phase theta and the closing R_x(beta - pi/2)
+act linearly on the spin vector, so every output number comes from the
+moments of the state chi just before theta.  The gain over the shot-noise
+limit 1/sqrt(N) follows from linear error propagation on <S_z>.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import xi2_closed
-from .dicke import DickeState, PulseSpec, apply_oat, apply_rotation, make_css, yz_moments
+from .dicke import (
+    DickeState,
+    PulseSpec,
+    SpinMoments,
+    apply_oat,
+    apply_rotation,
+    make_css,
+    spin_moments,
+)
 from .errors import DegenerateStateError, FlatSlopeError
 from .trap import AtomTrapConfig, gravity_phase, tau_accumulated, tau_tilde
 
@@ -29,7 +38,10 @@ __all__ = [
     "run_sequence",
     "run_sequence_stepwise",
     "prepared_state",
+    "pre_phase_state",
     "output_moments",
+    "best_beta",
+    "gain_from_moments",
     "gain_at_zero",
     "sensitivity",
     "signal_curve",
@@ -82,21 +94,23 @@ def prepared_state(config: SequenceConfig) -> DickeState:
     return apply_oat(make_css(config.n_atoms, 0.5 * math.pi, 0.0), config.tau)
 
 
+def pre_phase_state(prepared: DickeState, alpha: float, tau_tilde: float) -> DickeState:
+    """chi = exp(-i tau_tilde S_z^2) R_x(alpha + pi/2) prepared, the state
+    just before the phase theta (R_x(alpha) and the first pi/2 pulse merged)."""
+    state = apply_rotation(prepared, PulseSpec("x", alpha + 0.5 * math.pi))
+    return apply_oat(state, tau_tilde)
+
+
 def run_sequence(config: SequenceConfig) -> DickeState:
-    """Full sequence with the interrogation block as a pulse sandwich.
+    """Output state, for ``husimi_grid`` and the amplitude checks.
 
     The y-axis evolution exp(-i (tau_tilde S_y^2 + theta S_y)) is realized
     as R_x(-pi/2) diag(exp(-i (tau_tilde m^2 + theta m))) R_x(pi/2), i.e.
     exactly the two pi/2 Bragg pulses around diagonal trap evolution.
     """
-    state = prepared_state(config)
-    state = apply_rotation(state, PulseSpec("x", config.alpha))
-    state = apply_rotation(state, PulseSpec("x", 0.5 * math.pi))
-    state = apply_oat(state, config.tau_tilde)
+    state = pre_phase_state(prepared_state(config), config.alpha, config.tau_tilde)
     state = apply_rotation(state, PulseSpec("z", config.theta))
-    state = apply_rotation(state, PulseSpec("x", -0.5 * math.pi))
-    state = apply_rotation(state, PulseSpec("x", config.beta))
-    return state
+    return apply_rotation(state, PulseSpec("x", config.beta - 0.5 * math.pi))
 
 
 def run_sequence_stepwise(config: SequenceConfig) -> DickeState:
@@ -118,29 +132,56 @@ def run_sequence_stepwise(config: SequenceConfig) -> DickeState:
     return state
 
 
+def _moments(config: SequenceConfig) -> SpinMoments:
+    return spin_moments(pre_phase_state(prepared_state(config), config.alpha, config.tau_tilde))
+
+
+def _closing(mom: SpinMoments, beta: float, theta):
+    """Output (<S_x>, <S_z>, Var S_z) from the moments of chi; theta may be
+    an array.  In the Heisenberg picture R_z(theta), then R_x(beta - pi/2),
+    turn S_x into cos(theta) S_x - sin(theta) S_y and S_z into v.S with
+    v = (-cos beta sin theta, -cos beta cos theta, sin beta), so
+    <S_z> = v.<S> and Var S_z = v^T C v.
+    """
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cos_b = math.cos(beta)
+    v = np.stack(np.broadcast_arrays(-cos_b * sin_t, -cos_b * cos_t, math.sin(beta)), axis=-1)
+    var = np.einsum("...i,ij,...j->...", v, mom.covariance(), v)
+    return cos_t * mom.sx - sin_t * mom.sy, v @ (mom.sx, mom.sy, mom.sz), var
+
+
 def output_moments(config: SequenceConfig) -> tuple[float, float, float]:
     """(<S_x>, <S_z>, <S_z^2>) of the sequence output state."""
-    mom = yz_moments(run_sequence(config))
-    return mom.sx, mom.sz, mom.sz2
+    sx, sz, var = (float(x) for x in _closing(_moments(config), config.beta, config.theta))
+    return sx, sz, var + sz * sz
 
 
-def sensitivity(config: SequenceConfig) -> GainResult:
-    """Phase sensitivity by linear error propagation at the configured theta.
+def best_beta(mom: SpinMoments, n_atoms: int) -> tuple[float, float]:
+    """(G^2, beta) at the exact theta = 0 optimum, from the moments of chi.
 
-    Delta theta = sqrt(Var S_z) / |d<S_z>/d theta|.  theta is a z phase just
-    before the closing x pulses, which keep S_x and map S_z to
-    sin(beta) S_z - cos(beta) S_y; since [S_z, S_y] = -i S_x the slope is
-    exactly -cos(beta) <S_x> on the output state at every theta.
+    There v = (0, -cos beta, sin beta), so with t = tan(beta)
+    G^2 = <S_x>^2 / (N (C_yy - 2 t C_yz + t^2 C_zz)), largest at t = C_yz / C_zz.
     """
+    cov = mom.covariance()
+    c_yy, c_yz, c_zz = float(cov[1, 1]), float(cov[1, 2]), float(cov[2, 2])
+    denom = c_yy - c_yz * c_yz / c_zz if c_zz > 0.0 else 0.0
+    if denom <= 0.0:
+        raise DegenerateStateError(f"smallest output S_z variance {denom:.3e} is not positive")
+    return mom.sx**2 / (n_atoms * denom), math.atan(c_yz / c_zz)
+
+
+def gain_from_moments(config: SequenceConfig, mom: SpinMoments) -> GainResult:
+    """Phase sensitivity at config.theta from the moments of its chi state:
+    Delta theta = sqrt(Var S_z) / |d<S_z>/d theta|, with the exact slope
+    d(v.<S>)/d theta = -cos(beta) <S_x>_out."""
     n = config.n_atoms
-    sx, sz, sz2 = output_moments(config)
+    sx, sz, var = (float(x) for x in _closing(mom, config.beta, config.theta))
     slope = -math.cos(config.beta) * sx
     if abs(slope) < 1e-12 * max(1.0, 0.5 * n):
         raise FlatSlopeError(
             f"slope d<S_z>/d theta = {slope:.3e} at theta = {config.theta}: "
             "insensitive working point"
         )
-    var = sz2 - sz * sz
     if var < 1e-20 * (0.5 * n) ** 2:
         raise DegenerateStateError(f"output S_z variance {var:.3e} is degenerate")
     delta_theta = math.sqrt(var) / abs(slope)
@@ -148,11 +189,16 @@ def sensitivity(config: SequenceConfig) -> GainResult:
     return GainResult(
         gain=gain,
         xi=math.sqrt(xi2_closed(n, config.tau)),
-        sx_out=sx, sz_out=sz, sz2_out=sz2,
+        sx_out=sx, sz_out=sz, sz2_out=var + sz * sz,
         d_sz_d_theta=slope,
         delta_theta=delta_theta,
         alpha=config.alpha, beta=config.beta,
     )
+
+
+def sensitivity(config: SequenceConfig) -> GainResult:
+    """Phase sensitivity by linear error propagation at the configured theta."""
+    return gain_from_moments(config, _moments(config))
 
 
 def gain_at_zero(config: SequenceConfig) -> GainResult:
@@ -164,15 +210,15 @@ def gain_at_zero(config: SequenceConfig) -> GainResult:
 def signal_curve(
     config: SequenceConfig, theta_grid: "np.ndarray | list[float]"
 ) -> list[tuple[float, float, float]]:
-    """Fringe data: (theta, <S_z>, Var S_z) for each grid point."""
+    """Fringe data: (theta, <S_z>, Var S_z) for each grid point, from one
+    moment pass on chi."""
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.size == 0:
         raise ValueError("theta_grid must be non-empty")
-    rows = []
-    for theta in thetas:
-        _, sz, sz2 = output_moments(replace(config, theta=float(theta)))
-        rows.append((float(theta), sz, sz2 - sz * sz))
-    return rows
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("theta must be finite")
+    _, sz, var = _closing(_moments(config), config.beta, thetas)
+    return [(float(t), float(m), float(v)) for t, m, v in zip(thetas, sz, var)]
 
 
 def sequence_from_trap(

@@ -272,8 +272,8 @@ def _integrate_chi(
 
 def tau_accumulated(config: AtomTrapConfig, model: str, upto: float) -> float:
     """Twisting strength tau = integral of chi(t) dt over [0, upto] (prep trap)."""
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    if not (math.isfinite(upto) and upto >= 0):
+        raise ValueError(f"upto must be finite and >= 0, got {upto}")
     derived = derive_trap(config, model)
     return _integrate_chi(derived, config, upto, interrogation=False)
 

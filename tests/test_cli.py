@@ -99,6 +99,13 @@ class TestExitCodes:
             assert code == 1, args
             assert key in err
 
+    def test_degenerate_squeeze_is_numerical_failure(self, capsys):
+        # at N = 2, tau = pi/2 the twisted state has no mean spin
+        code, _, err = run_cli(["squeeze", "--n-atoms", "2", "--tau-min", repr(math.pi / 2),
+                                "--tau-max", repr(math.pi / 2), "--tau-steps", "1"], capsys)
+        assert code == 2
+        assert "mean spin length" in err
+
     def test_success_is_zero(self, capsys):
         code, out, err = run_cli(["gain"], capsys)
         assert code == 0

@@ -14,8 +14,8 @@ from braggtrap.dicke import (
     make_css,
     operator_matrix,
     wigner_d,
+    spin_moments,
     wineland_xi2,
-    yz_moments,
 )
 from braggtrap.errors import DegenerateStateError
 
@@ -178,21 +178,35 @@ class TestExpectation:
         assert expectation(css_plus_x(4), "sz2") == pytest.approx(1.0, rel=1e-12)
 
 
-class TestYZMoments:
+class TestSpinMoments:
     def test_fields_equal_expectation(self, rng):
         # n = 1 has no S_+^2 pairs
         for n in (1, 2, 17, 300):
             state = random_state(n, rng)
-            mom = yz_moments(state)
-            for field in ("sx", "sy", "sz", "sy2", "sz2"):
+            mom = spin_moments(state)
+            for field in ("sx", "sy", "sz", "sx2", "sy2", "sz2"):
                 assert getattr(mom, field) == expectation(state, field)
 
     def test_anticommutator_matches_dense(self, rng):
         for n in (1, 2, 17):
             state = random_state(n, rng)
-            sy, sz = operator_matrix(n, "sy"), operator_matrix(n, "sz")
-            dense = np.vdot(state.amplitudes, (sy @ sz + sz @ sy) @ state.amplitudes)
-            assert yz_moments(state).syz == pytest.approx(dense.real, abs=1e-12 * n * n)
+            mom = spin_moments(state)
+            for field, (a, b) in (("sxy", "xy"), ("sxz", "xz"), ("syz", "yz")):
+                sa, sb = operator_matrix(n, "s" + a), operator_matrix(n, "s" + b)
+                dense = np.vdot(state.amplitudes, (sa @ sb + sb @ sa) @ state.amplitudes)
+                assert getattr(mom, field) == pytest.approx(dense.real, abs=1e-12 * n * n)
+
+    def test_covariance_matches_dense(self, rng):
+        for n in (2, 9):
+            state = random_state(n, rng)
+            ops = [operator_matrix(n, f"s{axis}") for axis in "xyz"]
+            psi = state.amplitudes
+            mean = np.array([np.vdot(psi, op @ psi).real for op in ops])
+            second = np.array([[0.5 * np.vdot(psi, (a @ b + b @ a) @ psi).real for b in ops]
+                               for a in ops])
+            cov = spin_moments(state).covariance()
+            np.testing.assert_allclose(cov, second - np.outer(mean, mean), atol=1e-12 * n * n)
+            np.testing.assert_array_equal(cov, cov.T)
 
 
 class TestWineland:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from braggtrap import dicke, optimize, sequence
 from braggtrap.closed_form import weak_gain, xi2_closed
 from braggtrap.dicke import SpinOp, expectation, make_css, operator_matrix
 from braggtrap.errors import FlatSlopeError
@@ -219,6 +220,62 @@ class TestSignalCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             signal_curve(SequenceConfig(n_atoms=4), [])
+
+    def test_non_finite_theta_rejected(self):
+        with pytest.raises(ValueError, match="theta"):
+            signal_curve(SequenceConfig(n_atoms=4), [0.1, math.nan])
+
+    def test_rows_match_output_state(self, rng):
+        # the moment algebra on chi against moments of the full output state
+        for _ in range(6):
+            n = int(rng.integers(20, 400))
+            cfg = SequenceConfig(
+                n_atoms=n,
+                tau=float(rng.uniform(0.001, 0.05)),
+                tau_tilde=float(rng.uniform(0.001, 0.02)),
+                alpha=float(rng.uniform(-1.5, 1.5)),
+                beta=float(rng.uniform(-1.5, 1.5)),
+            )
+            thetas = rng.uniform(-3.0, 3.0, size=9)
+            for theta, sz, var in signal_curve(cfg, thetas):
+                out = run_sequence_stepwise(replace(cfg, theta=theta))
+                ref = expectation(out, SpinOp.SZ)
+                ref_var = expectation(out, SpinOp.SZ2) - ref * ref
+                assert abs(sz - ref) <= 1e-12 * 0.5 * n
+                assert abs(var - ref_var) <= 1e-12 * (0.5 * n) ** 2
+
+
+class TestRotationCount:
+    """Every gain, fringe and beta optimum reads one moment pass on chi."""
+
+    @pytest.fixture
+    def x_rotations(self, monkeypatch):
+        calls = []
+        original = dicke.apply_rotation
+
+        def counted(state, pulse):
+            if pulse.axis == "x" and pulse.angle != 0.0:
+                calls.append(pulse.angle)
+            return original(state, pulse)
+
+        for module in (dicke, sequence, optimize):
+            if getattr(module, "apply_rotation", None) is original:
+                monkeypatch.setattr(module, "apply_rotation", counted)
+        return calls
+
+    CFG = SequenceConfig(n_atoms=60, tau=0.02, tau_tilde=0.005, alpha=0.4, beta=-0.3)
+
+    def test_gain_at_zero(self, x_rotations):
+        gain_at_zero(self.CFG)
+        assert len(x_rotations) == 1
+
+    def test_signal_curve(self, x_rotations):
+        signal_curve(self.CFG, np.linspace(-math.pi, math.pi, 73))
+        assert len(x_rotations) == 1
+
+    def test_optimize_beta(self, x_rotations):
+        optimize.optimize_beta(self.CFG)
+        assert len(x_rotations) == 1
 
 
 class TestWeakCancellation:

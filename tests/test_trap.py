@@ -214,6 +214,11 @@ class TestTauAccumulated:
         with pytest.raises(ValueError):
             tau_accumulated(AtomTrapConfig(), "gaussian", -1.0)
 
+    def test_rejects_non_finite_window(self):
+        for upto in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="upto"):
+                tau_accumulated(AtomTrapConfig(), "gaussian", upto)
+
 
 class TestTauTilde:
     def test_equal_traps_match_half_period(self):
