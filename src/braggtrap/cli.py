@@ -8,7 +8,8 @@ scalar results; diagnostics go to stderr.  Identical resolved parameters
 produce byte-identical data files; each file written to disk is accompanied
 by a ``<name>.manifest.json`` recording the resolved run.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure or
+internal error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .closed_form import xi2_closed
 from .dicke import husimi_grid, spin_moments
-from .errors import BraggTrapError
+from .errors import BraggTrapError, InternalError
 from .optimize import OptimizationSpec, optimized_gain, scan_m, scan_trap
 from .sequence import (
     SequenceConfig,
@@ -499,6 +500,9 @@ def dispatch(subcommand: str, params: dict, manifest: dict) -> int:
     except UsageError as exc:
         print(f"braggtrap: error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"braggtrap: internal error: {exc}", file=sys.stderr)
+        return 2
     except (BraggTrapError, ValueError) as exc:
         print(f"braggtrap: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, InternalError
 
 __all__ = [
     "DickeState",
@@ -36,9 +36,11 @@ __all__ = [
     "make_css",
     "apply_oat",
     "apply_rotation",
+    "x_rotation_block",
     "expectation",
     "SpinMoments",
     "spin_moments",
+    "block_moments",
     "wineland_xi2",
     "husimi_grid",
     "operator_matrix",
@@ -92,16 +94,9 @@ class DickeState:
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.shape[0] != self.n_atoms + 1:
-            raise ValueError(
-                f"amplitudes must have length n_atoms + 1 = {self.n_atoms + 1}, "
-                f"got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be 1-D, got shape {amps.shape}")
+        _check_amplitudes(self.n_atoms, amps)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -116,6 +111,21 @@ class DickeState:
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def _check_amplitudes(n_atoms: int, amps: np.ndarray) -> None:
+    """Length, finiteness and unit norm of each state along the last axis of
+    ``amps`` (one state or a (K, N+1) block of states)."""
+    if amps.shape[-1] != n_atoms + 1:
+        raise ValueError(
+            f"amplitudes must have length n_atoms + 1 = {n_atoms + 1}, "
+            f"got shape {amps.shape}"
+        )
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes contain non-finite entries")
+    drift = abs(np.sum(np.abs(amps) ** 2, axis=-1) - 1.0).max()
+    if drift > _NORM_TOL:
+        raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
 
 
 @dataclass(frozen=True)
@@ -240,6 +250,28 @@ def _rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> np.ndarray:
     return u @ (np.exp(-1j * angle * m_eig) * (u.T @ amplitudes))
 
 
+def x_rotation_block(state: DickeState) -> Callable[[np.ndarray], np.ndarray]:
+    """rotate(angles): the states exp(-i angles[k] S_x) state as the rows of a
+    (K, N+1) complex array.
+
+    The state's S_x eigenbasis coefficients c = U^T amplitudes are computed
+    once; each block is then (exp(-i angles m) * c) U^T as one real GEMM on
+    the stacked real and imaginary parts, so U is never cast to complex.
+    """
+    m_eig, u = _sx_eigensystem(state.n_atoms)
+    re, im = np.stack((state.amplitudes.real, state.amplitudes.imag)) @ u
+    coeffs = re + 1j * im
+
+    def rotate(angles: np.ndarray) -> np.ndarray:
+        rows = np.exp(-1j * np.multiply.outer(np.asarray(angles, dtype=float), m_eig))
+        rows *= coeffs
+        parts = np.concatenate((rows.real, rows.imag)) @ u.T
+        rows.real, rows.imag = np.split(parts, 2)
+        return rows
+
+    return rotate
+
+
 def wigner_d(n_atoms: int, angle: float) -> np.ndarray:
     """Small-d rotation matrix <S,m'| exp(-i angle S_y) |S,m>.
 
@@ -282,26 +314,26 @@ def apply_rotation(state: DickeState, pulse: PulseSpec) -> DickeState:
     return DickeState(n, amps)
 
 
-def _raising_sums(state: DickeState) -> dict:
-    """Raw ladder sums read by the moment kernel and the Hermitian labels."""
-    c = state.amplitudes
-    j = state.spin
-    m = state.m_values
-    f = _ladder_strengths(state.n_atoms)  # f[i]: |i> -> |i-1| strength of S_+
+def _raising_sums(c: np.ndarray, n_atoms: int) -> dict:
+    """Raw ladder sums read by the moment kernel and the Hermitian labels,
+    along the last axis of the amplitudes c (one state or a (K, N+1) block)."""
+    j = 0.5 * n_atoms
+    m = j - np.arange(n_atoms + 1)
+    f = _ladder_strengths(n_atoms)  # f[i]: |i> -> |i-1| strength of S_+
     pops = np.abs(c) ** 2
-    up1 = np.conj(c[:-1]) * c[1:]  # pairs (i-1, i)
-    up2 = np.conj(c[:-2]) * c[2:]  # pairs (i-2, i); empty for n = 1
+    up1 = np.conj(c[..., :-1]) * c[..., 1:]  # pairs (i-1, i)
+    up2 = np.conj(c[..., :-2]) * c[..., 2:]  # pairs (i-2, i); empty for n = 1
     ff = f[2:] * f[1:-1]
     return {
-        "sp": np.sum(up1 * f[1:]),
-        "sp_sz": np.sum(up1 * f[1:] * m[1:]),
-        "sm": np.sum(np.conj(c[1:]) * c[:-1] * f[1:]),
-        "sz": np.sum(pops * m),
-        "sz2": np.sum(pops * m * m),
-        "sp_sm": np.sum(pops * (j * (j + 1.0) - m * (m - 1.0))),
-        "sm_sp": np.sum(pops * (j * (j + 1.0) - m * (m + 1.0))),
-        "sp2": np.sum(up2 * ff),
-        "sm2": np.sum(np.conj(c[2:]) * c[:-2] * ff),
+        "sp": np.sum(up1 * f[1:], axis=-1),
+        "sp_sz": np.sum(up1 * f[1:] * m[1:], axis=-1),
+        "sm": np.sum(np.conj(c[..., 1:]) * c[..., :-1] * f[1:], axis=-1),
+        "sz": np.sum(pops * m, axis=-1),
+        "sz2": np.sum(pops * m * m, axis=-1),
+        "sp_sm": np.sum(pops * (j * (j + 1.0) - m * (m - 1.0)), axis=-1),
+        "sm_sp": np.sum(pops * (j * (j + 1.0) - m * (m + 1.0)), axis=-1),
+        "sp2": np.sum(up2 * ff, axis=-1),
+        "sm2": np.sum(np.conj(c[..., 2:]) * c[..., :-2] * ff, axis=-1),
     }
 
 
@@ -328,15 +360,17 @@ _HERMITIAN = {
 }
 
 
-def _hermitian(sums: dict, op: SpinOp, spin: float) -> float:
-    """Real value of a Hermitian label, checking its imaginary residue."""
+def _hermitian(sums: dict, op: SpinOp, spin: float) -> np.ndarray:
+    """Real value of a Hermitian label for each state of the sums, checking
+    every imaginary residue.  A residue above tolerance is a kernel bug."""
     order, formula = _HERMITIAN[op]
-    value = complex(formula(sums))
+    value = formula(sums)
     scale = max(1.0, spin**order)
-    if abs(value.imag) > _HERMITIAN_IMAG_TOL * scale:
-        raise DegenerateStateError(
+    residue = abs(value.imag)
+    if (residue > _HERMITIAN_IMAG_TOL * scale).any():
+        raise InternalError(
             f"Hermitian operator {op.value} produced imaginary part "
-            f"{value.imag:.3e} (scale {scale:.3e})"
+            f"{residue.max():.3e} (scale {scale:.3e})"
         )
     return value.real
 
@@ -352,9 +386,9 @@ def expectation(state: DickeState, op: SpinOp | str) -> complex | float:
     if op in _THIRD_ORDER:
         f = _ladder_strengths(state.n_atoms)
         return complex(_THIRD_ORDER[op](state.amplitudes, f, state.m_values, state.spin))
-    sums = _raising_sums(state)
+    sums = _raising_sums(state.amplitudes, state.n_atoms)
     if op in _HERMITIAN:
-        return _hermitian(sums, op, state.spin)
+        return float(_hermitian(sums, op, state.spin))
     return complex(sums[op.value])
 
 
@@ -403,21 +437,37 @@ class SpinMoments(NamedTuple):
         return n_atoms * variance / denom
 
 
+def _moment_fields(c: np.ndarray, n_atoms: int) -> tuple:
+    """The SpinMoments fields along the last axis of the amplitudes c."""
+    sums = _raising_sums(c, n_atoms)
+    sx, sy, sz, sx2, sy2, sz2 = (
+        _hermitian(sums, op, 0.5 * n_atoms)
+        for op in (SpinOp.SX, SpinOp.SY, SpinOp.SZ, SpinOp.SX2, SpinOp.SY2, SpinOp.SZ2)
+    )
+    # {S_x, S_y} = Im(S_+^2), and {S_x, S_z} + i {S_y, S_z} = 2 S_+ (S_z + 1/2),
+    # as expectation values
+    sp_half = sums["sp_sz"] + 0.5 * sums["sp"]
+    return (sx, sy, sz, sx2, sy2, sz2, sums["sp2"].imag,
+            2.0 * sp_half.real, 2.0 * sp_half.imag)
+
+
 def spin_moments(state: DickeState) -> SpinMoments:
     """Means, squares and anticommutators of the spin components, one pass.
 
     The Hermitian fields equal ``expectation`` of the same labels exactly.
     """
-    sums = _raising_sums(state)
-    sx, sy, sz, sx2, sy2, sz2 = (
-        _hermitian(sums, op, state.spin)
-        for op in (SpinOp.SX, SpinOp.SY, SpinOp.SZ, SpinOp.SX2, SpinOp.SY2, SpinOp.SZ2)
-    )
-    # {S_x, S_y} = Im(S_+^2), and {S_x, S_z} + i {S_y, S_z} = 2 S_+ (S_z + 1/2),
-    # as expectation values
-    sxy = complex(sums["sp2"]).imag
-    sp_half = complex(sums["sp_sz"] + 0.5 * sums["sp"])
-    return SpinMoments(sx, sy, sz, sx2, sy2, sz2, sxy, 2.0 * sp_half.real, 2.0 * sp_half.imag)
+    return SpinMoments(*map(float, _moment_fields(state.amplitudes, state.n_atoms)))
+
+
+def block_moments(n_atoms: int, block: np.ndarray) -> list[SpinMoments]:
+    """``spin_moments`` of each row of a (K, N+1) amplitude block, from one
+    vectorized pass; every row is checked as a ``DickeState`` is."""
+    block = np.asarray(block, dtype=np.complex128)
+    if block.ndim != 2:
+        raise ValueError(f"block must be 2-D (K, N+1), got shape {block.shape}")
+    _check_amplitudes(n_atoms, block)
+    fields = _moment_fields(block, n_atoms)
+    return [SpinMoments(*row) for row in zip(*(f.tolist() for f in fields))]
 
 
 def wineland_xi2(state: DickeState) -> float:

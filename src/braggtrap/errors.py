@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
-__all__ = ["BraggTrapError", "DegenerateStateError", "FlatSlopeError", "QuadratureError"]
+__all__ = ["BraggTrapError", "DegenerateStateError", "FlatSlopeError", "QuadratureError",
+           "InternalError"]
 
 
 class BraggTrapError(Exception):
@@ -22,3 +23,8 @@ class QuadratureError(BraggTrapError):
         super().__init__(message)
         self.achieved = achieved
         self.requested = requested
+
+
+class InternalError(BraggTrapError):
+    """A kernel broke an invariant it guarantees, such as a real expectation
+    value of a Hermitian operator; a bug in braggtrap, not in the input."""

@@ -5,7 +5,9 @@ For a given alpha, one moment pass on the state before the phase
 (``sequence.best_beta``) and the reported gain.  alpha_H is the exact
 principal axis of the twisted state's y-z second moments.  Only the joint
 optimum needs a search, and only over alpha: a deterministic grid with
-golden-section refinement, so identical inputs give identical outputs.
+golden-section refinement, so identical inputs give identical outputs.  The
+search evaluates its alphas in blocks (``sequence.pre_phase_block``,
+``dicke.block_moments``) and reports the winner from the per-point pass.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .closed_form import xi2_closed
-from .dicke import SpinMoments, spin_moments
+from .dicke import block_moments, spin_moments
 from .sequence import (
     GainResult,
     SequenceConfig,
     best_beta,
     gain_from_moments,
+    pre_phase_block,
     pre_phase_state,
     prepared_state,
 )
@@ -42,6 +45,11 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_EPS = 1e-12
 _MAX_REFINE_ITER = 200
+# Bytes of one complex (K, N+1) block of the joint alpha search.  K follows
+# from N, so memory does not grow with the alpha grid.  Blocks this small
+# keep the heap the allocator retains, and so the peak resident memory,
+# within a few MB of the per-point search at N = 1000.
+_BLOCK_BYTES = 1 << 18
 _ALPHA_POLICIES = ("fixed", "alpha_H", "scan")
 
 
@@ -88,24 +96,39 @@ class ScanRow:
     gain_linear: float
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer on [lo, hi]; returns the bracket midpoint."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+def _golden_max(f: Callable[[list[float]], list[float]], brackets: list[tuple[float, float]],
+                tol: float) -> list[float]:
+    """Golden-section maximizers on each (lo, hi) bracket, in lockstep.
+
+    Each bracket takes exactly the steps of a scalar golden-section search
+    and stops once narrower than tol.  f maps a list of points to their
+    values, so one call evaluates the new points of all open brackets.
+    Returns the bracket midpoints.
+    """
+    state = [[a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)] for a, b in brackets]
+    values = f([x for s in state for x in s[2:]])
+    for s, fc, fd in zip(state, values[0::2], values[1::2]):
+        s += [fc, fd]  # each bracket is [a, b, c, d, f(c), f(d)]
     for _ in range(_MAX_REFINE_ITER):
-        if b - a < tol:
+        open_ = [s for s in state if s[1] - s[0] >= tol]
+        if not open_:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+        slots = []  # index in the bracket of the point to evaluate
+        for s in open_:
+            a, b, c, d, fc, fd = s
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                slots.append(2)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                slots.append(3)
+            s[:] = [a, b, c, d, fc, fd]
+        values = f([s[i] for s, i in zip(open_, slots)])
+        for s, i, value in zip(open_, slots, values):
+            s[i + 2] = value
+    return [0.5 * (s[0] + s[1]) for s in state]
 
 
 def optimize_beta(config: SequenceConfig) -> GainResult:
@@ -126,35 +149,39 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
 
     beta is exact for every alpha, so only alpha is searched: a grid over
     [0, pi), then golden-section refinement from the five best cells.  Ties
-    break toward smallest |alpha|, then |beta|.
+    break toward smallest |alpha|, then |beta|.  Every alpha is evaluated in
+    blocks of rows of one batched x rotation; the winner is reported from
+    the per-point pass, so the result equals
+    ``optimize_beta(replace(config, alpha=result.alpha))``.
     """
     spec = spec or OptimizationSpec()
-    prepared = prepared_state(config)
+    n = config.n_atoms
+    chis = pre_phase_block(prepared_state(config), config.tau_tilde)
+    rows = max(1, _BLOCK_BYTES // (16 * (n + 1)))
 
-    def profile(alpha: float) -> tuple[float, float, SpinMoments]:
-        mom = spin_moments(pre_phase_state(prepared, alpha, config.tau_tilde))
-        return (*best_beta(mom, config.n_atoms), mom)
+    def profiles(alphas: np.ndarray) -> np.ndarray:
+        """(G^2, beta) at each alpha, as the columns of a (2, K) array."""
+        out = np.empty((2, len(alphas)))
+        for start in range(0, len(alphas), rows):
+            moments = block_moments(n, chis(alphas[start:start + rows]))
+            out[:, start:start + len(moments)] = np.transpose([best_beta(m, n) for m in moments])
+        return out
 
     alphas = np.linspace(0.0, math.pi, spec.alpha_grid, endpoint=False)
-    profiles = [profile(float(a)) for a in alphas]
-    vals = [p[0] for p in profiles]
-    if max(vals) < _FLAT_EPS:
-        result = gain_from_moments(replace(config, alpha=0.0, beta=0.0, theta=0.0),
-                                   profiles[0][2])
-        return replace(result, flat_landscape=True)
+    vals = profiles(alphas)[0]
+    if vals.max() < _FLAT_EPS:
+        return optimize_beta(replace(config, alpha=0.0))
 
-    ranked = sorted(range(alphas.size), key=lambda i: (-vals[i], abs(alphas[i])))
+    ranked = np.lexsort((np.abs(alphas), -vals))  # stable: ties keep grid order
     h = alphas[1] - alphas[0]
-    candidates = []
-    for i in ranked[:5]:
-        a0 = float(alphas[i])
-        alpha = _golden_max(lambda a: profile(a)[0], a0 - h, a0 + h,
-                            spec.refine_tolerance)
-        candidates.append((alpha, *profile(alpha)))
+    refined = _golden_max(lambda pts: profiles(pts)[0].tolist(),
+                          [(alphas[i] - h, alphas[i] + h) for i in ranked[:5]],
+                          spec.refine_tolerance)
+    candidates = list(zip(refined, *profiles(refined).tolist()))
     best = max(c[1] for c in candidates)
     keep = [c for c in candidates if c[1] >= best - _FLAT_EPS]
-    alpha, _, beta, mom = min(keep, key=lambda c: (abs(c[0]), abs(c[2])))
-    return gain_from_moments(replace(config, alpha=alpha, beta=beta, theta=0.0), mom)
+    alpha = min(keep, key=lambda c: (abs(c[0]), abs(c[2])))[0]
+    return optimize_beta(replace(config, alpha=alpha))
 
 
 def alpha_H(n_atoms: int, tau: float) -> float:

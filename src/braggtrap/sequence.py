@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .dicke import (
     apply_rotation,
     make_css,
     spin_moments,
+    x_rotation_block,
 )
 from .errors import DegenerateStateError, FlatSlopeError
 from .trap import AtomTrapConfig, gravity_phase, tau_accumulated, tau_tilde
@@ -39,6 +41,7 @@ __all__ = [
     "run_sequence_stepwise",
     "prepared_state",
     "pre_phase_state",
+    "pre_phase_block",
     "output_moments",
     "best_beta",
     "gain_from_moments",
@@ -99,6 +102,23 @@ def pre_phase_state(prepared: DickeState, alpha: float, tau_tilde: float) -> Dic
     just before the phase theta (R_x(alpha) and the first pi/2 pulse merged)."""
     state = apply_rotation(prepared, PulseSpec("x", alpha + 0.5 * math.pi))
     return apply_oat(state, tau_tilde)
+
+
+def pre_phase_block(prepared: DickeState, tau_tilde: float) -> Callable[[np.ndarray], np.ndarray]:
+    """chis(alphas): the amplitudes of ``pre_phase_state(prepared, alpha,
+    tau_tilde)`` for each alpha of a block, as the rows of a (K, N+1) array
+    from one batched x rotation (``dicke.x_rotation_block``)."""
+    rotate = x_rotation_block(prepared)
+    m = prepared.m_values
+    twist = np.exp(-1j * tau_tilde * m * m)
+
+    def chis(alphas: np.ndarray) -> np.ndarray:
+        rows = rotate(np.asarray(alphas, dtype=float) + 0.5 * math.pi)
+        if tau_tilde != 0.0:
+            rows *= twist
+        return rows
+
+    return chis
 
 
 def run_sequence(config: SequenceConfig) -> DickeState:
@@ -213,8 +233,8 @@ def signal_curve(
     """Fringe data: (theta, <S_z>, Var S_z) for each grid point, from one
     moment pass on chi."""
     thetas = np.asarray(theta_grid, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("theta_grid must be non-empty")
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise ValueError(f"theta_grid must be a non-empty 1-D sequence, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise ValueError("theta must be finite")
     _, sz, var = _closing(_moments(config), config.beta, thetas)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from braggtrap import cli
 from braggtrap.cli import main, parse_config
+from braggtrap.errors import InternalError
 
 
 def run_cli(args, capsys):
@@ -72,6 +74,15 @@ class TestExitCodes:
         code, _, err = run_cli(["gain", "--beta-rad", str(math.pi / 2)], capsys)
         assert code == 2
         assert "slope" in err or "numerical" in err
+
+    def test_internal_error_is_two(self, capsys, monkeypatch):
+        def broken(params, manifest):
+            raise InternalError("Hermitian operator sz produced imaginary part 1e-3")
+
+        monkeypatch.setitem(cli._DISPATCH, "gain", broken)
+        code, _, err = run_cli(["gain"], capsys)
+        assert code == 2
+        assert "internal error" in err and "numerical failure" not in err
 
     def test_non_finite_numbers_are_usage_errors(self, capsys):
         for args in (["scan-m", "--m-values", "nan"], ["scan-m", "--m-values", "inf"],

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from braggtrap import dicke
 from braggtrap.dicke import (
     DickeState,
     PulseSpec,
     SpinOp,
     apply_oat,
     apply_rotation,
+    block_moments,
     expectation,
     husimi_grid,
     make_css,
@@ -17,7 +19,7 @@ from braggtrap.dicke import (
     spin_moments,
     wineland_xi2,
 )
-from braggtrap.errors import DegenerateStateError
+from braggtrap.errors import BraggTrapError, DegenerateStateError, InternalError
 
 from conftest import dense_axis_rotation, random_state
 
@@ -207,6 +209,40 @@ class TestSpinMoments:
             cov = spin_moments(state).covariance()
             np.testing.assert_allclose(cov, second - np.outer(mean, mean), atol=1e-12 * n * n)
             np.testing.assert_array_equal(cov, cov.T)
+
+
+class TestBlockMoments:
+    def test_rows_equal_spin_moments(self, rng):
+        for n in (1, 2, 17, 300, 1001):
+            block = np.array([random_state(n, rng).amplitudes for _ in range(4)])
+            rows = block_moments(n, block)
+            assert rows == [spin_moments(DickeState(n, amps)) for amps in block]
+
+    def test_every_row_checked(self, rng):
+        block = np.array([random_state(6, rng).amplitudes for _ in range(3)])
+        for row, value, match in ((1, 2.0, "norm"), (2, math.nan, "non-finite")):
+            bad = block.copy()
+            bad[row, 3] = value
+            with pytest.raises(ValueError, match=match):
+                block_moments(6, bad)
+        with pytest.raises(ValueError, match="length"):
+            block_moments(5, block)
+        with pytest.raises(ValueError, match="2-D"):
+            block_moments(6, block[0])
+
+
+class TestHermitianCheck:
+    def test_imaginary_residue_is_internal_error(self):
+        # one state of three carries an imaginary <S_z>: a kernel bug, not a
+        # degenerate state
+        sums = {"sz": np.array([0.5, -0.25 + 1e-9j, 0.0])}
+        with pytest.raises(InternalError, match="imaginary part 1.000e-09"):
+            dicke._hermitian(sums, SpinOp.SZ, 1.0)
+        assert issubclass(InternalError, BraggTrapError)
+        assert not issubclass(InternalError, DegenerateStateError)
+        np.testing.assert_array_equal(
+            dicke._hermitian({"sz": np.array([0.5, -0.25 + 1e-13j])}, SpinOp.SZ, 1.0),
+            [0.5, -0.25])
 
 
 class TestWineland:

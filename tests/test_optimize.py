@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from braggtrap import optimize
 from braggtrap.closed_form import weak_gain, xi2_closed
 from braggtrap.dicke import PulseSpec, apply_oat, apply_rotation, make_css, wineland_xi2
 from braggtrap.optimize import (
@@ -117,6 +118,71 @@ class TestOptimizeAlphaBeta:
         a = optimize_alpha_beta(seq, SMALL_SPEC)
         b = optimize_alpha_beta(seq, SMALL_SPEC)
         assert (a.gain, a.alpha, a.beta) == (b.gain, b.alpha, b.beta)
+
+
+class TestJointSearch:
+    """The batched alpha search against its per-point definitions."""
+
+    CONFIGS = (headline_sequence(1.5), SequenceConfig(n_atoms=60, tau=0.05),
+               SequenceConfig(n_atoms=3, tau=0.4, tau_tilde=-0.2))
+
+    def test_result_is_optimize_beta_at_its_alpha(self):
+        for seq in self.CONFIGS:
+            res = optimize_alpha_beta(seq, SMALL_SPEC)
+            assert res == optimize_beta(replace(seq, alpha=res.alpha))
+
+    def test_blocked_grid_matches_one_block(self, monkeypatch):
+        seq, spec = self.CONFIGS[0], OptimizationSpec()
+        row_bytes = 16 * (seq.n_atoms + 1)
+        monkeypatch.setattr(optimize, "_BLOCK_BYTES", spec.alpha_grid * row_bytes)
+        one_block = optimize_alpha_beta(seq, spec)
+        for rows in (1, 7, 60):
+            monkeypatch.setattr(optimize, "_BLOCK_BYTES", rows * row_bytes)
+            res = optimize_alpha_beta(seq, spec)
+            assert res.alpha == one_block.alpha
+            assert res.gain == pytest.approx(one_block.gain, rel=1e-13)
+
+    @staticmethod
+    def _scalar_golden_max(f, lo, hi, tol):
+        """The scalar golden-section search the lockstep one reproduces."""
+        g = optimize._GOLDEN
+        a, b = lo, hi
+        c = b - g * (b - a)
+        d = a + g * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(optimize._MAX_REFINE_ITER):
+            if b - a < tol:
+                break
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - g * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + g * (b - a)
+                fd = f(d)
+        return 0.5 * (a + b)
+
+    def test_lockstep_golden_equals_scalar_search(self):
+        # brackets with the peak inside, at an edge and outside, of both
+        # widths the search uses; the plateau exercises ties
+        h = math.pi / 181
+        brackets = [(0.4 - h, 0.4 + h), (1.0, 1.0 + 2 * h), (-0.3, -0.3 + 2 * h),
+                    (2.0 - h, 2.0 + h), (0.71 - h, 0.71 + h)]
+        for shift in (0.4, 0.7123, 1.05, 2.0):
+            for f in (lambda x: -(x - shift) ** 2, lambda x: min(0.0, -(x - shift) ** 3)):
+                for tol in (1e-4, 1e-7):
+                    evals = []
+
+                    def block(points):
+                        evals.append(len(points))
+                        return [f(x) for x in points]
+
+                    found = optimize._golden_max(block, brackets, tol)
+                    assert found == [self._scalar_golden_max(f, lo, hi, tol)
+                                     for lo, hi in brackets]
+                    assert evals[0] == 2 * len(brackets)
+                    assert set(evals[1:]) == {len(brackets)}
 
 
 class TestAlphaH:

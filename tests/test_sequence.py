@@ -14,6 +14,9 @@ from braggtrap.sequence import (
     SequenceConfig,
     gain_at_zero,
     output_moments,
+    pre_phase_block,
+    pre_phase_state,
+    prepared_state,
     run_sequence,
     run_sequence_stepwise,
     sensitivity,
@@ -221,6 +224,10 @@ class TestSignalCurve:
         with pytest.raises(ValueError):
             signal_curve(SequenceConfig(n_atoms=4), [])
 
+    def test_scalar_grid_rejected(self):
+        with pytest.raises(ValueError, match="theta_grid"):
+            signal_curve(SequenceConfig(n_atoms=2), 0.5)
+
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ValueError, match="theta"):
             signal_curve(SequenceConfig(n_atoms=4), [0.1, math.nan])
@@ -243,6 +250,19 @@ class TestSignalCurve:
                 ref_var = expectation(out, SpinOp.SZ2) - ref * ref
                 assert abs(sz - ref) <= 1e-12 * 0.5 * n
                 assert abs(var - ref_var) <= 1e-12 * (0.5 * n) ** 2
+
+
+class TestPrePhaseBlock:
+    def test_rows_match_pre_phase_state(self):
+        h = math.pi / 181
+        alphas = [0.0, 0.37, -1.2, math.pi - h]
+        for n in (2, 3, 60, 1001):
+            for tt in (0.0, 0.013):
+                prepared = prepared_state(SequenceConfig(n_atoms=n, tau=0.02))
+                rows = pre_phase_block(prepared, tt)(alphas)
+                for alpha, row in zip(alphas, rows):
+                    ref = pre_phase_state(prepared, alpha, tt).amplitudes
+                    assert np.max(np.abs(row - ref)) <= 1e-13, (n, tt, alpha)
 
 
 class TestRotationCount:
@@ -275,6 +295,12 @@ class TestRotationCount:
 
     def test_optimize_beta(self, x_rotations):
         optimize.optimize_beta(self.CFG)
+        assert len(x_rotations) == 1
+
+    def test_optimize_alpha_beta(self, x_rotations):
+        # the grid and the golden steps run batched; only the winner is
+        # re-evaluated per point
+        optimize.optimize_alpha_beta(self.CFG, OptimizationSpec(alpha_grid=16))
         assert len(x_rotations) == 1
 
 
