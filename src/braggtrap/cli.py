@@ -5,8 +5,9 @@ documented defaults, in that precedence order.  Frequencies are accepted in
 Hz (nu) and converted to angular frequencies internally (factor 2 pi).
 Outputs are machine-readable data only: CSV for curves and scans, JSON for
 scalar results; diagnostics go to stderr.  Identical resolved parameters
-produce byte-identical data files; each file written to disk is accompanied
-by a ``<name>.manifest.json`` recording the resolved run.
+produce byte-identical data files, whatever the BLAS thread count except
+under ``--alpha-policy scan``; each file written to disk is accompanied by
+a ``<name>.manifest.json`` recording the resolved run.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure or
 internal error.
@@ -131,7 +132,7 @@ KEYS = {
     "theta_rad": (float, 0.0, "rad", "encoded interferometer phase theta", _identity),
     "from_trap": (bool, False, "flag", "derive tau/tau_tilde/theta from the trap parameters", _identity),
     "alpha_policy": (str, "fixed", "enum", "alpha selection: fixed | alpha-h | scan", _choice("fixed", "alpha-h", "scan")),
-    "alpha_grid": (int, 181, "dimensionless", "coarse grid size for alpha scans (>= 8)", _positive),
+    "alpha_grid": (int, 181, "dimensionless", "coarse grid size for alpha scans (8 to 10^6)", _positive),
     "refine_tolerance_rad": (float, 1e-4, "rad", "optimizer refinement tolerance", _positive),
     "tau_min": (float, 1e-4, "rad", "squeeze sweep: smallest tau", _positive),
     "tau_max": (float, 0.03, "rad", "squeeze sweep: largest tau", _positive),

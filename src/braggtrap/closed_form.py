@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BraggTrapError
+from .errors import BraggTrapError, DegenerateStateError
 
 __all__ = [
     "AnalyticMoments",
@@ -103,17 +103,20 @@ def xi2_closed(n_atoms: int, tau: float) -> float:
 
     xi^2 = [4 + (2S-1)(A - sqrt(A^2 + B^2))] / (4 cos(tau)^(4S-2)); equal to
     min over alpha of the exact Wineland parameter of the rotated twisted
-    state.  Singular where cos(tau) = 0.
+    state.  The mean spin is S |cos(tau)|^(N-1), so where
+    cos(tau)^(2N-2) < 1e-20 this raises the exact path's mean-spin error
+    (``SpinMoments.xi2``) instead of returning a ratio of rounding noise.
     """
     if n_atoms < 2:
         raise ValueError("n_atoms must be >= 2")
     n = n_atoms
-    if abs(math.cos(tau)) < 1e-15:
-        raise BraggTrapError("xi2_closed is singular at tau = pi/2 (cos tau = 0)")
+    mean2 = _pow_signed(math.cos(tau), 2 * n - 2)
+    if mean2 < 1e-20:
+        raise DegenerateStateError(
+            f"mean spin length {0.5 * n * math.sqrt(mean2):.3e} too small for xi^2")
     a_coef, b_coef, _ = _shear_parameters(n, tau)
     num = 4.0 + (n - 1.0) * (a_coef - math.hypot(a_coef, b_coef))
-    den = 4.0 * _pow_signed(math.cos(tau), 2 * n - 2)
-    return num / den
+    return num / (4.0 * mean2)
 
 
 def weak_gain(

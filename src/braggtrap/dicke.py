@@ -6,12 +6,18 @@ m = +S, ..., -S (index i maps to m = S - i).  Everything here is a pure
 function: states are immutable values, operations return new states, and no
 global mutable state exists, so parallel mapping over states is safe.
 
-Rotations about x/y are driven by the eigendecomposition of the real
-symmetric tridiagonal S_x matrix, whose spectrum is exactly m = -S ... +S and
-whose eigenvector matrix is orthogonal, so rotations stay unitary to machine
-precision at any N (naive column recurrences for the Wigner d-matrix blow up
-beyond N of a few hundred).  z rotations and one-axis twisting are diagonal
-phase multiplications.
+One state rotated by one angle about x (or y, through quarter-turn z
+phases) goes by the Chebyshev series of exp(-i a S_x) in the tridiagonal
+S_x / S (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): no
+eigensystem, O(N) memory, and no BLAS call (elementwise numpy, einsum and
+pocketfft), so the bits do not depend on the BLAS thread count.  One state
+rotated by many angles (the alpha block of the joint search,
+``x_rotation_block``) and the test helper ``wigner_d`` use the
+eigendecomposition of the real symmetric tridiagonal S_x matrix, whose
+spectrum is exactly m = -S ... +S and whose eigenvector matrix is orthogonal
+(naive column recurrences for the Wigner d-matrix blow up beyond N of a few
+hundred).  z rotations and one-axis twisting are diagonal phase
+multiplications.
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ _HERMITIAN_IMAG_TOL = 1e-12
 # above.
 _ISOTROPY_TOL = 1e-10
 _DENSE_MAX_ATOMS = 64
+# The Chebyshev series of an x rotation stops at the first order whose Bessel
+# coefficient is provably below _BESSEL_TOL, and holds at most _SERIES_BYTES
+# of its terms at once; at N small enough that every T_k(S_x / S) fits in
+# _STACK_BYTES, the matrices are cached instead.
+_BESSEL_TOL = 1e-17
+_SERIES_BYTES = 1 << 20
+_STACK_BYTES = 1 << 17
 
 
 class SpinOp(str, Enum):
@@ -123,7 +136,7 @@ def _check_amplitudes(n_atoms: int, amps: np.ndarray) -> None:
         )
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite entries")
-    drift = abs(np.sum(np.abs(amps) ** 2, axis=-1) - 1.0).max()
+    drift = abs(np.add.reduce(np.abs(amps) ** 2, axis=-1) - 1.0).max()
     if drift > _NORM_TOL:
         raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
 
@@ -244,10 +257,156 @@ def _sx_eigensystem(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return m_exact, evecs
 
 
-def _rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> np.ndarray:
-    """exp(-i angle S_x) applied through the S_x eigenbasis."""
-    m_eig, u = _sx_eigensystem(n_atoms)
-    return u @ (np.exp(-1j * angle * m_eig) * (u.T @ amplitudes))
+@lru_cache(maxsize=1024)
+def _series_length(x: float) -> int:
+    """Number of terms of the Chebyshev series of exp(-i x H), |H| <= 1, for
+    x >= 0: the first order k > x with |J_k(x)| <= _BESSEL_TOL by Kapteyn's
+    bound |J_k(k z)| <= (z e^s / (1 + s))^k, s = sqrt(1 - z^2) (Abramowitz &
+    Stegun 9.1.63).  The bound falls monotonically in k and grows with x, so
+    the count at any x' >= x serves x too.  The bound decides, not the
+    computed J_k: their FFT rounding floor, about eps x / sqrt(size), lies
+    above 1e-17 once x reaches a few hundred."""
+    k = math.floor(x) + 1
+    log_tol = math.log(_BESSEL_TOL)
+    while x > 0.0:
+        z = x / k
+        s = math.sqrt(1.0 - z * z)
+        if k * (math.log(z) + s - math.log1p(s)) <= log_tol:
+            break
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=64)
+def _series_weights(count: int, size: int) -> np.ndarray:
+    """Weights turning the FFT sums size * J_k into the real coefficients of
+    exp(-i x H) = J_0 + 2 sum_k (-i)^k J_k T_k: (-i)^k is (-1)^(k/2) for even
+    k, and -i (-1)^((k-1)/2) for odd k, whose -i is applied at the end."""
+    w = np.full(count, 2.0 / size)
+    w[0] = 1.0 / size
+    w[2::4] *= -1.0
+    w[3::4] *= -1.0
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=16)
+def _fft_sines(size: int) -> np.ndarray:
+    sines = np.sin((2.0 * math.pi / size) * np.arange(size))
+    sines.setflags(write=False)
+    return sines
+
+
+@lru_cache(maxsize=8)
+def _sx_couplings(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(above, below): 2 S_x / S as the coupling of each index i to i+1 and
+    to i-1, each repeated for the real and imaginary parts of interleaved
+    complex amplitudes."""
+    f = _ladder_strengths(n_atoms) / (0.5 * n_atoms)
+    above = np.repeat(np.append(f[1:], 0.0), 2)
+    below = np.repeat(f, 2)
+    above.setflags(write=False)
+    below.setflags(write=False)
+    return above, below
+
+
+@lru_cache(maxsize=8)
+def _chebyshev_stack(n_atoms: int) -> np.ndarray | None:
+    """T_k(S_x / S) for every order a rotation by |angle| <= pi/2 uses, as a
+    (count, N+1, N+1) stack, or None where it would exceed _STACK_BYTES.  At
+    such small N numpy's per-call overhead, not arithmetic, sets the cost of
+    the recurrence on a vector, so the matrices are built once per N."""
+    n = n_atoms
+    count = _series_length(math.ceil(2.0 * math.pi * n) / 8.0)  # x = pi S / 2
+    count += count % 2
+    if count * (n + 1) ** 2 * 8 > _STACK_BYTES:
+        return None
+    h = np.diag(_ladder_strengths(n)[1:] / n, 1)
+    h += h.T
+    stack = np.empty((count, n + 1, n + 1))
+    stack[0] = np.eye(n + 1)
+    stack[1] = h
+    for k in range(2, count):
+        np.subtract(2.0 * np.einsum("ij,jk->ik", h, stack[k - 1]), stack[k - 2], out=stack[k])
+    stack.setflags(write=False)
+    return stack
+
+
+def _chebyshev_rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> np.ndarray:
+    """exp(-i angle S_x) amplitudes from the Chebyshev series in H = S_x / S,
+
+        exp(-i x H) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(H),   x = angle S,
+
+    summed with the recurrence T_{k+1} = 2 H T_k - T_{k-1} on the tridiagonal
+    H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Whole turns are
+    the exact phase (-1)^N and the half turn
+    exp(-i pi S_x)|S, m> = exp(-i pi S)|S, -m> is an index reversal, so the
+    series runs at |angle| <= pi/2, about angle S + O(S^(1/3)) terms.  All
+    J_k come from one FFT of exp(i x sin t) = sum_k J_k(x) e^{ikt}
+    (Jacobi-Anger) at a power of two >= 2 count samples, so every order
+    aliased onto the series lies beyond its cut.  Even and odd orders have
+    real coefficients and go to two accumulators.  Where the matrices
+    T_k(H) fit in _STACK_BYTES (N <= 17), the cached stack replaces the
+    recurrence.  The input amplitudes are never written.
+    """
+    n = n_atoms
+    reduced = math.remainder(angle, 2.0 * math.pi)  # exact, |reduced| <= pi
+    turns = round((angle - reduced) / (2.0 * math.pi))
+    phase = -1.0 if n * turns % 2 else 1.0
+    if abs(reduced) > 0.5 * math.pi:  # exp(-+i pi S_x): reverse, times exp(-+i pi S)
+        quarter = (1.0, -1j, -1.0, 1j)[n % 4]
+        phase *= quarter if reduced > 0.0 else quarter.conjugate()
+        reduced -= math.copysign(math.pi, reduced)
+        amplitudes = amplitudes[::-1]
+    x = reduced * 0.5 * n
+    # |x| rounded up to 1/8, so that nearby angles share a cached count
+    count = _series_length(math.ceil(8.0 * abs(x)) / 8.0)
+    count += count % 2  # even, so that the orders pair up as (even, odd)
+    size = 1 << max(4, (2 * count - 1).bit_length())
+    coef = np.fft.fft(np.exp(1j * x * _fft_sines(size)))[:count].real
+    coef *= _series_weights(count, size)
+    stack = _chebyshev_stack(n)
+    if stack is not None:
+        pairs = np.einsum("kp,kpij->pij", coef.reshape(-1, 2),
+                          stack[:count].reshape(-1, 2, n + 1, n + 1))
+        even, odd = np.einsum("pij,j->pi", pairs, amplitudes)
+        return phase * (even - 1j * odd)
+    above, below = _sx_couplings(n)
+    # rows of the term buffer (an even number): one zero site pads each end,
+    # and the float view interleaves real and imaginary parts
+    width = 2 * (n + 1)
+    rows = min(count, max(4, _SERIES_BYTES // (8 * width) // 2 * 2))
+    buf = np.zeros((rows, n + 3), dtype=np.complex128)
+    buf[0, 1:-1] = amplitudes
+    flat = buf.view(np.float64)
+    terms, up, down = flat[:, 2:-2], flat[:, 4:], flat[:, :-4]
+    tmp = np.empty(width)
+    nxt = terms[1]  # T_1 = H T_0
+    np.multiply(above, up[0], nxt)
+    np.multiply(below, down[0], tmp)
+    nxt += tmp
+    nxt *= 0.5
+    acc = np.zeros((2, width))  # even and odd orders
+    base, first, start = 0, 0, 2  # order of buffer row 0, first new row, next row
+    while True:
+        stop = min(rows, count - base)
+        for r in range(start, stop):
+            nxt = terms[r]
+            np.multiply(above, up[r - 1], nxt)
+            np.multiply(below, down[r - 1], tmp)
+            nxt += tmp
+            nxt -= terms[r - 2]
+        acc += np.einsum("kp,kpi->pi", coef[base + first:base + stop].reshape(-1, 2),
+                         terms[first:stop].reshape(-1, 2, width))
+        if base + stop == count:
+            break
+        buf[:2] = buf[stop - 2:stop]
+        base += stop - 2
+        first = start = 2
+    out = acc[0].view(np.complex128) - 1j * acc[1].view(np.complex128)
+    if phase != 1.0:
+        out *= phase
+    return out
 
 
 def x_rotation_block(state: DickeState) -> Callable[[np.ndarray], np.ndarray]:
@@ -297,9 +456,10 @@ def wigner_d(n_atoms: int, angle: float) -> np.ndarray:
 def apply_rotation(state: DickeState, pulse: PulseSpec) -> DickeState:
     """Rotate by exp(-i * angle * S_axis).
 
-    z rotations are diagonal phases.  x rotations go through the S_x
-    eigenbasis; y rotations conjugate an x rotation with exact quarter-turn
-    z phases, exp(-i a S_y) = exp(-i pi/2 S_z) exp(-i a S_x) exp(+i pi/2 S_z).
+    z rotations are diagonal phases.  x rotations sum the Chebyshev series
+    of exp(-i a S_x); y rotations conjugate an x rotation with exact
+    quarter-turn z phases,
+    exp(-i a S_y) = exp(-i pi/2 S_z) exp(-i a S_x) exp(+i pi/2 S_z).
     """
     if pulse.angle == 0.0:
         return state
@@ -308,9 +468,9 @@ def apply_rotation(state: DickeState, pulse: PulseSpec) -> DickeState:
     if pulse.axis == "z":
         return DickeState(n, state.amplitudes * np.exp(-1j * pulse.angle * m))
     if pulse.axis == "x":
-        return DickeState(n, _rotate_x(state.amplitudes, n, pulse.angle))
+        return DickeState(n, _chebyshev_rotate_x(state.amplitudes, n, pulse.angle))
     quarter = np.exp(0.5j * math.pi * m)
-    amps = quarter.conj() * _rotate_x(quarter * state.amplitudes, n, pulse.angle)
+    amps = quarter.conj() * _chebyshev_rotate_x(quarter * state.amplitudes, n, pulse.angle)
     return DickeState(n, amps)
 
 
@@ -324,16 +484,17 @@ def _raising_sums(c: np.ndarray, n_atoms: int) -> dict:
     up1 = np.conj(c[..., :-1]) * c[..., 1:]  # pairs (i-1, i)
     up2 = np.conj(c[..., :-2]) * c[..., 2:]  # pairs (i-2, i); empty for n = 1
     ff = f[2:] * f[1:-1]
+    total = np.add.reduce  # np.sum's own reduction, without its wrapper's overhead
     return {
-        "sp": np.sum(up1 * f[1:], axis=-1),
-        "sp_sz": np.sum(up1 * f[1:] * m[1:], axis=-1),
-        "sm": np.sum(np.conj(c[..., 1:]) * c[..., :-1] * f[1:], axis=-1),
-        "sz": np.sum(pops * m, axis=-1),
-        "sz2": np.sum(pops * m * m, axis=-1),
-        "sp_sm": np.sum(pops * (j * (j + 1.0) - m * (m - 1.0)), axis=-1),
-        "sm_sp": np.sum(pops * (j * (j + 1.0) - m * (m + 1.0)), axis=-1),
-        "sp2": np.sum(up2 * ff, axis=-1),
-        "sm2": np.sum(np.conj(c[..., 2:]) * c[..., :-2] * ff, axis=-1),
+        "sp": total(up1 * f[1:], axis=-1),
+        "sp_sz": total(up1 * f[1:] * m[1:], axis=-1),
+        "sm": total(np.conj(c[..., 1:]) * c[..., :-1] * f[1:], axis=-1),
+        "sz": total(pops * m, axis=-1),
+        "sz2": total(pops * m * m, axis=-1),
+        "sp_sm": total(pops * (j * (j + 1.0) - m * (m - 1.0)), axis=-1),
+        "sm_sp": total(pops * (j * (j + 1.0) - m * (m + 1.0)), axis=-1),
+        "sp2": total(up2 * ff, axis=-1),
+        "sm2": total(np.conj(c[..., 2:]) * c[..., :-2] * ff, axis=-1),
     }
 
 

@@ -51,6 +51,9 @@ _MAX_REFINE_ITER = 200
 # within a few MB of the per-point search at N = 1000.
 _BLOCK_BYTES = 1 << 18
 _ALPHA_POLICIES = ("fixed", "alpha_H", "scan")
+# Largest alpha grid: the grid, its values and their lexsort take about 50 B
+# per cell, so the limit bounds them near 50 MB.
+_ALPHA_GRID_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,9 @@ class OptimizationSpec:
     def __post_init__(self):
         if self.alpha_mode not in _ALPHA_POLICIES:
             raise ValueError(f"alpha_mode must be one of {_ALPHA_POLICIES}")
-        if self.alpha_grid < 8:
-            raise ValueError("alpha_grid must be >= 8")
+        if not 8 <= self.alpha_grid <= _ALPHA_GRID_MAX:
+            raise ValueError(
+                f"alpha_grid must lie in [8, {_ALPHA_GRID_MAX}], got {self.alpha_grid}")
         if not 0.0 < self.refine_tolerance <= 0.1:
             raise ValueError("refine_tolerance must lie in (0, 0.1]")
 

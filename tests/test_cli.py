@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,25 @@ class TestExitCodes:
         assert code == 2
         assert "mean spin length" in err
 
+    def test_collapsed_mean_spin_is_numerical_failure(self, capsys):
+        # tau = 93.8: xi would be a ratio of rounding noise (1.33e+53)
+        code, out, err = run_cli(["gain", "--from-trap", "--omega-z-hz", "1e-6"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "mean spin length" in err
+
+    def test_huge_alpha_grid_is_usage_error(self, capsys, monkeypatch):
+        from braggtrap import optimize
+
+        def never(*args, **kwargs):
+            raise AssertionError("a 10^9-cell alpha search must not start")
+
+        monkeypatch.setattr(optimize, "optimize_alpha_beta", never)
+        code, _, err = run_cli(["optimize", "--alpha-policy", "scan", "--alpha-grid",
+                                "1000000000", "--n-atoms", "2", "--tau", "0.1"], capsys)
+        assert code == 1
+        assert "alpha_grid" in err and "1000000" in err
+
     def test_success_is_zero(self, capsys):
         code, out, err = run_cli(["gain"], capsys)
         assert code == 0
@@ -224,6 +247,41 @@ class TestDeterminism:
         assert run_cli(args + ["--output", str(first)], capsys)[0] == 0
         assert run_cli(args + ["--output", str(second)], capsys)[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    # every command whose output comes from per-state rotations; at the
+    # default N = 1000 an S_x eigenbasis gives different bits under 1 and 2
+    # BLAS threads for all but scan-m
+    THREAD_RUNS = [
+        ("gain.json", ["gain", "--from-trap"]),
+        ("fixed.json", ["optimize", "--from-trap", "--alpha-policy", "fixed"]),
+        ("alpha_h.json", ["optimize", "--from-trap", "--alpha-policy", "alpha-h"]),
+        ("fringe.csv", ["fringe", "--from-trap"]),
+        ("husimi.csv", ["husimi", "--from-trap"]),
+        ("scan_m.csv", ["scan-m", "--m-values", "0.5,1"]),
+    ]
+
+    def test_data_files_independent_of_blas_threads(self, tmp_path):
+        # per-state rotations call no BLAS, so the bytes cannot depend on
+        # how BLAS splits a sum over threads
+        code = ("import json, os, sys\n"
+                "from braggtrap.cli import main\n"
+                "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+                "sys.exit(max(main(a + ['--output', os.path.join(out, f)]) for f, a in runs))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        procs = []
+        for threads in ("1", "2"):  # both at once: each mostly waits on imports
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", code, str(out), json.dumps(self.THREAD_RUNS)],
+                env=env, stderr=subprocess.PIPE, text=True))
+        for proc in procs:
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+        for name, _ in self.THREAD_RUNS:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run_cli(["fringe", "--n-atoms", "10", "--theta-steps", "9"], capsys)

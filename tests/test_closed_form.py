@@ -19,9 +19,10 @@ from braggtrap.dicke import (
     expectation,
     make_css,
     operator_matrix,
+    spin_moments,
     wineland_xi2,
 )
-from braggtrap.errors import BraggTrapError
+from braggtrap.errors import BraggTrapError, DegenerateStateError
 
 
 def twisted(n, tau):
@@ -119,6 +120,23 @@ class TestXi2Closed:
     def test_singularity(self):
         with pytest.raises(BraggTrapError):
             xi2_closed(10, math.pi / 2)
+
+    def test_collapsed_mean_spin_raises_exact_path_error(self):
+        # tau = 93.8 is what gain --from-trap --omega-z-hz 1e-6 prepares; there
+        # <S_x> = S cos(tau)^(N-1) is about 1e-43 S
+        n, tau = 1000, 93.8
+        with pytest.raises(DegenerateStateError, match="mean spin length"):
+            xi2_closed(n, tau)
+        mom = spin_moments(twisted(n, tau))
+        with pytest.raises(DegenerateStateError, match="mean spin length"):
+            mom.xi2(n, mom.squeezed_axis()[1])
+
+    def test_mean_spin_bound(self):
+        # the bound is cos(tau)^(2N-2) < 1e-20, the exact path's 1e-20 S^2
+        edge = math.acos(1e-10)  # N = 2: cos(tau)^2 = 1e-20
+        assert math.isfinite(xi2_closed(2, edge - 1e-11))  # cos^2 = 1.21e-20
+        with pytest.raises(DegenerateStateError):
+            xi2_closed(2, edge + 1e-11)  # cos^2 = 0.81e-20
 
 
 class TestWeakGain:

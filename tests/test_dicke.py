@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from braggtrap import dicke
+from braggtrap.closed_form import oat_moments_closed
 from braggtrap.dicke import (
     DickeState,
     PulseSpec,
@@ -147,6 +148,57 @@ class TestApplyRotation:
             PulseSpec("q", 0.1)
         with pytest.raises(ValueError):
             PulseSpec("x", math.nan)
+
+
+class TestChebyshevRotation:
+    """The per-state x rotation (a Chebyshev series) against the S_x
+    eigenbasis route that the alpha block keeps."""
+
+    ANGLES = (0.3, math.pi / 2, -math.pi / 2, math.pi, 7.1, -12.3)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 300, 1001, 4000])
+    def test_matches_eigenbasis_route(self, n, rng):
+        state = random_state(n, rng)
+        reference = dicke.x_rotation_block(state)(np.array(self.ANGLES))
+        for angle, ref in zip(self.ANGLES, reference):
+            out = apply_rotation(state, PulseSpec("x", angle))
+            assert np.max(np.abs(out.amplitudes - ref)) <= 1e-13, angle
+
+    def test_input_amplitudes_never_written(self, rng):
+        # read-only input: a write raises, and the values must not move
+        for n in (2, 301):
+            amps = random_state(n, rng).amplitudes.copy()
+            before = amps.copy()
+            amps.setflags(write=False)
+            state = DickeState(n, amps)
+            for axis in ("x", "y"):
+                for angle in self.ANGLES:
+                    apply_rotation(state, PulseSpec(axis, angle))
+            np.testing.assert_array_equal(state.amplitudes, before)
+
+    def test_per_state_paths_build_no_eigensystem(self):
+        from braggtrap import sequence
+
+        cfg = sequence.SequenceConfig(n_atoms=37, tau=0.05, tau_tilde=0.02,
+                                      alpha=0.3, beta=0.2, theta=0.1)
+        before = dicke._sx_eigensystem.cache_info()
+        sequence.run_sequence(cfg)
+        sequence.run_sequence_stepwise(cfg)
+        sequence.gain_at_zero(cfg)
+        after = dicke._sx_eigensystem.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_large_n_moments_match_closed_form(self):
+        # N = 2e4: the eigenbasis would need 3.2 GB; the series needs O(N)
+        n, tau, alpha = 20000, 1e-3, 0.2
+        state = apply_rotation(apply_oat(make_css(n, math.pi / 2, 0.0), tau),
+                               PulseSpec("x", alpha))
+        mom = spin_moments(state)
+        ref = oat_moments_closed(n, tau, alpha)
+        s = 0.5 * n
+        assert abs(mom.sx - ref.sx) <= 1e-11 * s
+        assert abs(mom.sy2 - ref.sy2) <= 1e-11 * s * s
+        assert abs(mom.sz2 - ref.sz2) <= 1e-11 * s * s
 
 
 class TestExpectation:

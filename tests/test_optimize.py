@@ -36,6 +36,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             OptimizationSpec(alpha_grid=7)
 
+    def test_grid_maximum(self):
+        # checked before the grid, its values and their lexsort are allocated;
+        # the limit itself is allowed
+        with pytest.raises(ValueError, match=r"alpha_grid.*1000000\]"):
+            OptimizationSpec(alpha_mode="scan", alpha_grid=10**9)
+        assert OptimizationSpec(alpha_mode="scan", alpha_grid=10**6).alpha_grid == 10**6
+
     def test_tolerance_range(self):
         with pytest.raises(ValueError):
             OptimizationSpec(refine_tolerance=0.0)
@@ -183,6 +190,20 @@ class TestJointSearch:
                                      for lo, hi in brackets]
                     assert evals[0] == 2 * len(brackets)
                     assert set(evals[1:]) == {len(brackets)}
+
+    def test_golden_stop_rule_steps_a_bracket_exactly_tol_wide(self):
+        # the rule is width >= tol: a bracket exactly tol wide takes one more
+        # step (f increasing, so it keeps the upper part), where > tol would
+        # stop at once and return 0.5
+        evals = []
+
+        def block(points):
+            evals.append(len(points))
+            return list(points)
+
+        found = optimize._golden_max(block, [(0.0, 1.0)], 1.0)
+        assert evals == [2, 1]
+        assert found == [0.5 * ((1.0 - optimize._GOLDEN) + 1.0)]
 
 
 class TestAlphaH:
