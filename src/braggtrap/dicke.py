@@ -9,7 +9,7 @@ global mutable state exists, so parallel mapping over states is safe.
 One state rotated by one angle about x (or y, through quarter-turn z
 phases) goes by the Chebyshev series of exp(-i a S_x) in the tridiagonal
 S_x / S (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): no
-eigensystem, O(N) memory, and no BLAS call (elementwise numpy, einsum and
+eigensystem, O(N) memory, and no BLAS call (elementwise numpy and
 pocketfft), so the bits do not depend on the BLAS thread count.  One state
 rotated by many angles (the alpha block of the joint search,
 ``x_rotation_block``) and the test helper ``wigner_d`` use the
@@ -67,12 +67,8 @@ _HERMITIAN_IMAG_TOL = 1e-12
 _ISOTROPY_TOL = 1e-10
 _DENSE_MAX_ATOMS = 64
 # The Chebyshev series of an x rotation stops at the first order whose Bessel
-# coefficient is provably below _BESSEL_TOL, and holds at most _SERIES_BYTES
-# of its terms at once; at N small enough that every T_k(S_x / S) fits in
-# _STACK_BYTES, the matrices are cached instead.
+# coefficient is provably below _BESSEL_TOL.
 _BESSEL_TOL = 1e-17
-_SERIES_BYTES = 1 << 20
-_STACK_BYTES = 1 << 17
 
 
 class SpinOp(str, Enum):
@@ -310,28 +306,6 @@ def _sx_couplings(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return above, below
 
 
-@lru_cache(maxsize=8)
-def _chebyshev_stack(n_atoms: int) -> np.ndarray | None:
-    """T_k(S_x / S) for every order a rotation by |angle| <= pi/2 uses, as a
-    (count, N+1, N+1) stack, or None where it would exceed _STACK_BYTES.  At
-    such small N numpy's per-call overhead, not arithmetic, sets the cost of
-    the recurrence on a vector, so the matrices are built once per N."""
-    n = n_atoms
-    count = _series_length(math.ceil(2.0 * math.pi * n) / 8.0)  # x = pi S / 2
-    count += count % 2
-    if count * (n + 1) ** 2 * 8 > _STACK_BYTES:
-        return None
-    h = np.diag(_ladder_strengths(n)[1:] / n, 1)
-    h += h.T
-    stack = np.empty((count, n + 1, n + 1))
-    stack[0] = np.eye(n + 1)
-    stack[1] = h
-    for k in range(2, count):
-        np.subtract(2.0 * np.einsum("ij,jk->ik", h, stack[k - 1]), stack[k - 2], out=stack[k])
-    stack.setflags(write=False)
-    return stack
-
-
 def _chebyshev_rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> np.ndarray:
     """exp(-i angle S_x) amplitudes from the Chebyshev series in H = S_x / S,
 
@@ -345,9 +319,8 @@ def _chebyshev_rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> n
     J_k come from one FFT of exp(i x sin t) = sum_k J_k(x) e^{ikt}
     (Jacobi-Anger) at a power of two >= 2 count samples, so every order
     aliased onto the series lies beyond its cut.  Even and odd orders have
-    real coefficients and go to two accumulators.  Where the matrices
-    T_k(H) fit in _STACK_BYTES (N <= 17), the cached stack replaces the
-    recurrence.  The input amplitudes are never written.
+    real coefficients and go to two accumulators.  The input amplitudes are
+    never written.
     """
     n = n_atoms
     reduced = math.remainder(angle, 2.0 * math.pi)  # exact, |reduced| <= pi
@@ -361,48 +334,30 @@ def _chebyshev_rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> n
     x = reduced * 0.5 * n
     # |x| rounded up to 1/8, so that nearby angles share a cached count
     count = _series_length(math.ceil(8.0 * abs(x)) / 8.0)
-    count += count % 2  # even, so that the orders pair up as (even, odd)
     size = 1 << max(4, (2 * count - 1).bit_length())
     coef = np.fft.fft(np.exp(1j * x * _fft_sines(size)))[:count].real
     coef *= _series_weights(count, size)
-    stack = _chebyshev_stack(n)
-    if stack is not None:
-        pairs = np.einsum("kp,kpij->pij", coef.reshape(-1, 2),
-                          stack[:count].reshape(-1, 2, n + 1, n + 1))
-        even, odd = np.einsum("pij,j->pi", pairs, amplitudes)
-        return phase * (even - 1j * odd)
     above, below = _sx_couplings(n)
-    # rows of the term buffer (an even number): one zero site pads each end,
-    # and the float view interleaves real and imaginary parts
-    width = 2 * (n + 1)
-    rows = min(count, max(4, _SERIES_BYTES // (8 * width) // 2 * 2))
-    buf = np.zeros((rows, n + 3), dtype=np.complex128)
-    buf[0, 1:-1] = amplitudes
-    flat = buf.view(np.float64)
-    terms, up, down = flat[:, 2:-2], flat[:, 4:], flat[:, :-4]
-    tmp = np.empty(width)
-    nxt = terms[1]  # T_1 = H T_0
-    np.multiply(above, up[0], nxt)
-    np.multiply(below, down[0], tmp)
-    nxt += tmp
-    nxt *= 0.5
-    acc = np.zeros((2, width))  # even and odd orders
-    base, first, start = 0, 0, 2  # order of buffer row 0, first new row, next row
-    while True:
-        stop = min(rows, count - base)
-        for r in range(start, stop):
-            nxt = terms[r]
-            np.multiply(above, up[r - 1], nxt)
-            np.multiply(below, down[r - 1], tmp)
-            nxt += tmp
-            nxt -= terms[r - 2]
-        acc += np.einsum("kp,kpi->pi", coef[base + first:base + stop].reshape(-1, 2),
-                         terms[first:stop].reshape(-1, 2, width))
-        if base + stop == count:
-            break
-        buf[:2] = buf[stop - 2:stop]
-        base += stop - 2
-        first = start = 2
+    # three rows take turns holding T_k, T_{k-1} and T_{k-2} applied to the
+    # amplitudes, each as (terms, upper, lower neighbours) of a float view
+    # that interleaves real and imaginary parts, with a zero site at each end
+    rows = np.zeros((3, n + 3), dtype=np.complex128)
+    rows[0, 1:-1] = amplitudes
+    old, new, older = ((r[2:-2], r[4:], r[:-4]) for r in rows.view(np.float64))
+    acc = [old[0] * coef[0], np.zeros(2 * (n + 1))]  # even and odd orders
+    tmp = np.empty(2 * (n + 1))
+    for k in range(1, count):
+        term = new[0]
+        np.multiply(above, old[1], out=term)
+        np.multiply(below, old[2], out=tmp)
+        term += tmp
+        if k == 1:
+            term *= 0.5  # T_1 = H T_0
+        else:
+            term -= older[0]
+        np.multiply(term, coef[k], out=tmp)
+        acc[k % 2] += tmp
+        older, old, new = old, new, older
     out = acc[0].view(np.complex128) - 1j * acc[1].view(np.complex128)
     if phase != 1.0:
         out *= phase
