@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .closed_form import xi2_closed
 from .dicke import husimi_grid, spin_moments
-from .errors import BraggTrapError, InternalError
+from .errors import BraggTrapError, InternalError, ResourceLimitError
 from .optimize import OptimizationSpec, optimized_gain, scan_m, scan_trap
 from .sequence import (
     SequenceConfig,
@@ -498,7 +498,7 @@ def dispatch(subcommand: str, params: dict, manifest: dict) -> int:
     """Run one resolved subcommand; returns the process exit code."""
     try:
         _DISPATCH[subcommand](params, manifest)
-    except UsageError as exc:
+    except (UsageError, ResourceLimitError) as exc:
         print(f"braggtrap: error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:

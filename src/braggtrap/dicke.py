@@ -16,8 +16,9 @@ rotated by many angles (the alpha block of the joint search,
 eigendecomposition of the real symmetric tridiagonal S_x matrix, whose
 spectrum is exactly m = -S ... +S and whose eigenvector matrix is orthogonal
 (naive column recurrences for the Wigner d-matrix blow up beyond N of a few
-hundred).  z rotations and one-axis twisting are diagonal phase
-multiplications.
+hundred); S_x commutes with the index reversal, so it is diagonalized as two
+half-size tridiagonals, one per reversal parity.  z rotations and one-axis
+twisting are diagonal phase multiplications.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
-from .errors import DegenerateStateError, InternalError
+from .errors import DegenerateStateError, InternalError, ResourceLimitError
 
 __all__ = [
     "DickeState",
@@ -66,6 +65,8 @@ _HERMITIAN_IMAG_TOL = 1e-12
 # above.
 _ISOTROPY_TOL = 1e-10
 _DENSE_MAX_ATOMS = 64
+# Largest S_x eigensystem in bytes; admits N <= 8191
+_EIGENSYSTEM_MAX_BYTES = 1 << 30
 # The Chebyshev series of an x rotation stops at the first order whose Bessel
 # coefficient is provably below _BESSEL_TOL.
 _BESSEL_TOL = 1e-17
@@ -166,10 +167,13 @@ class HusimiGrid:
         return float(np.trapezoid(ring, self.polar))
 
 
+@lru_cache(maxsize=16)
 def _binomial_log_half(n: int) -> np.ndarray:
-    """0.5 * log C(n, k) for k = 0..n, via log-gamma (overflow-safe)."""
-    k = np.arange(n + 1)
-    return 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    """0.5 * log C(n, k) for k = 0..n, via log-gamma (overflow-safe); read-only."""
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float, count=n + 1)
+    out = 0.5 * (lg[n] - lg - lg[::-1])
+    out.setflags(write=False)
+    return out
 
 
 def _css_amplitudes(n_atoms: int, polar: float) -> np.ndarray:
@@ -241,13 +245,45 @@ def _ladder_strengths(n: int) -> np.ndarray:
 def _sx_eigensystem(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal eigenvectors of the tridiagonal S_x and its exact spectrum.
 
-    The computed eigenvalues are snapped to the exact values m = -S ... +S
-    (ascending), which keeps rotation angles like 2 pi exactly periodic.
+    S_x commutes with the index reversal J, so each eigenvector is
+    [x; (middle); +-J x] (Cantoni & Butler, Linear Algebra Appl. 13, 275
+    (1976)): two tridiagonals of about half size, with h = (N+1) // 2 and
+    couplings off.  For N odd the last diagonal entry is +-off[h-1]; for N
+    even the even sector keeps the middle site, coupled by sqrt(2) off[h-1].
+    The largest m is even and parities alternate down the spectrum.  The
+    eigenvalues are snapped to the exact m = -S ... +S (ascending), which
+    keeps rotation angles like 2 pi exactly periodic.  Raises
+    ResourceLimitError before allocating when the eigenvectors, each
+    sector's matrix and its eigenvectors would exceed _EIGENSYSTEM_MAX_BYTES.
     """
     n = n_atoms
+    d = n + 1
+    h = d // 2
+    need = 8 * (d * d + 2 * ((d - h) ** 2 + h * h))
+    if need > _EIGENSYSTEM_MAX_BYTES:
+        raise ResourceLimitError(
+            f"n_atoms = {n} needs {need} B for the S_x eigensystem, above the "
+            f"limit of {_EIGENSYSTEM_MAX_BYTES} B")
     off = 0.5 * _ladder_strengths(n)[1:]
-    _, evecs = eigh_tridiagonal(np.zeros(n + 1), off)
-    m_exact = np.arange(n + 1) - 0.5 * n
+    if d % 2 == 0:
+        sectors = [(off[h - 1], off[:h - 1]), (-off[h - 1], off[:h - 1])]
+    else:
+        sectors = [(0.0, np.append(off[:h - 1], math.sqrt(2.0) * off[h - 1])),
+                   (0.0, off[:h - 1])]
+    rows = np.empty((d, d))  # row j: the eigenvector of the j-th smallest m
+    parities = ((1.0, rows[(d - 1) % 2::2]), (-1.0, rows[d % 2::2]))
+    for (sign, sector), (last, couplings) in zip(parities, sectors):
+        size = len(couplings) + 1
+        t = np.zeros((size, size))
+        t.flat[size::size + 1] = couplings  # eigh reads the lower triangle only
+        t[-1, -1] = last
+        x = np.linalg.eigh(t)[1].T  # rows by ascending eigenvalue
+        sector[:, h:d - h] = 0.0  # the middle site of the odd sector
+        sector[:, :x.shape[1]] = x
+        sector[:, :h] *= math.sqrt(0.5)
+        sector[:, d - h:] = sign * sector[:, h - 1::-1]
+    evecs = rows.T
+    m_exact = np.arange(d) - 0.5 * n
     evecs.setflags(write=False)
     m_exact.setflags(write=False)
     return m_exact, evecs
@@ -606,16 +642,17 @@ def husimi_grid(state: DickeState, n_polar: int, n_azimuth: int) -> HusimiGrid:
     if n_polar < 2 or n_azimuth < 2:
         raise ValueError("grid sizes must be >= 2")
     n = state.n_atoms
-    k = np.arange(n + 1)
     polar = np.linspace(0.0, math.pi, n_polar)
     azimuth = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-    # <CSS(theta,phi)| picks up exp(-i k phi); precompute the phase matrix
-    phases = np.exp(-1j * np.outer(azimuth, k))
+    # <CSS(theta, phi_j)|psi> = sum_k exp(-2 pi i j k / n_azimuth) css_k psi_k
+    # is the DFT of css * psi folded modulo n_azimuth
+    folds = -(-(n + 1) // n_azimuth)
+    terms = np.zeros((folds, n_azimuth), dtype=np.complex128)
     values = np.empty((n_polar, n_azimuth))
     prefactor = (n + 1.0) / (4.0 * math.pi)
     for i, th in enumerate(polar):
-        css = _css_amplitudes(n, th)  # real
-        overlap = phases @ (css * state.amplitudes)
+        terms.flat[:n + 1] = _css_amplitudes(n, th) * state.amplitudes
+        overlap = np.fft.fft(terms.sum(axis=0))
         values[i] = prefactor * np.abs(overlap) ** 2
     return HusimiGrid(polar=polar, azimuth=azimuth, values=values)
 

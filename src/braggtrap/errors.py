@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = ["BraggTrapError", "DegenerateStateError", "FlatSlopeError", "QuadratureError",
-           "InternalError"]
+           "ResourceLimitError", "InternalError"]
 
 
 class BraggTrapError(Exception):
@@ -17,12 +17,17 @@ class FlatSlopeError(BraggTrapError):
 
 
 class QuadratureError(BraggTrapError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The chi(t) quadrature failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float, requested: float):
         super().__init__(message)
         self.achieved = achieved
         self.requested = requested
+
+
+class ResourceLimitError(BraggTrapError):
+    """A size whose arrays would exceed a fixed memory limit; raised before
+    anything is allocated."""
 
 
 class InternalError(BraggTrapError):

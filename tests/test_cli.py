@@ -128,6 +128,21 @@ class TestExitCodes:
         assert out == ""
         assert "mean spin length" in err
 
+    def test_huge_eigensystem_is_usage_error(self, capsys, monkeypatch):
+        from braggtrap import dicke
+
+        def never(*args, **kwargs):
+            raise AssertionError("an over-limit eigensystem must not start")
+
+        monkeypatch.setattr(dicke.np.linalg, "eigh", never)
+        code, out, err = run_cli(["optimize", "--alpha-policy", "scan", "--n-atoms", "20000",
+                                  "--tau", "0.001"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("braggtrap: error:")
+        assert "n_atoms = 20000" in err
+        assert str(dicke._EIGENSYSTEM_MAX_BYTES) in err
+
     def test_huge_alpha_grid_is_usage_error(self, capsys, monkeypatch):
         from braggtrap import optimize
 
@@ -288,6 +303,28 @@ class TestDeterminism:
         cell = out.strip().splitlines()[1].split(",")[0]
         mantissa = cell.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) == 12
+
+
+class TestDependencies:
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: no command, the alpha scan
+        # included, may load it
+        code = ("import sys\n"
+                "from braggtrap.cli import main\n"
+                "out = sys.argv[1]\n"
+                "for name, args in (('gain', ['gain', '--from-trap']),\n"
+                "                   ('scan', ['optimize', '--alpha-policy', 'scan'])):\n"
+                "    assert main(args + ['--n-atoms', '40', '--output', out + name]) == 0\n"
+                "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+                "assert not loaded, loaded\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path) + os.sep],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "gain").stat().st_size > 0
+        assert (tmp_path / "scan").stat().st_size > 0
 
 
 class TestHelp:

@@ -20,7 +20,7 @@ from braggtrap.dicke import (
     spin_moments,
     wineland_xi2,
 )
-from braggtrap.errors import BraggTrapError, DegenerateStateError, InternalError
+from braggtrap.errors import BraggTrapError, DegenerateStateError, InternalError, ResourceLimitError
 
 from conftest import dense_axis_rotation, random_state
 
@@ -201,6 +201,55 @@ class TestChebyshevRotation:
         assert abs(mom.sz2 - ref.sz2) <= 1e-11 * s * s
 
 
+class TestSxEigensystem:
+    """The S_x eigensystem folded by reversal parity into two half-size
+    tridiagonals."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 1000, 1001])
+    def test_eigenpairs_and_orthogonality(self, n):
+        m, u = dicke._sx_eigensystem(n)
+        np.testing.assert_array_equal(m, np.arange(n + 1) - 0.5 * n)
+        off = 0.5 * dicke._ladder_strengths(n)[1:, None]
+        tu = np.zeros_like(u)
+        tu[:-1] += off * u[1:]
+        tu[1:] += off * u[:-1]
+        assert np.linalg.norm(tu - u * m, axis=0).max() <= 1e-12 * n
+        assert np.abs(u.T @ u - np.eye(n + 1)).max() <= 1e-13
+        # parities alternate down the spectrum, the largest m even
+        parity = np.where((n - np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
+        np.testing.assert_allclose(u[::-1], u * parity, atol=1e-15)
+        assert not u.flags.writeable
+
+    def test_size_limit_rejects_before_allocating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an over-limit eigensystem must not start")
+
+        monkeypatch.setattr(dicke.np, "empty", never)
+        monkeypatch.setattr(dicke.np, "zeros", never)
+        monkeypatch.setattr(dicke.np.linalg, "eigh", never)
+        limit = dicke._EIGENSYSTEM_MAX_BYTES
+        # 8 (d^2 + 2 (4096^2 + 4096^2)) bytes at N = 8191, d = 8192, is the limit
+        assert limit == 8 * (8192**2 + 4 * 4096**2)
+        for n in (8192, 10**6, 10**9):
+            with pytest.raises(ResourceLimitError, match=f"n_atoms = {n} .* {limit} B"):
+                dicke._sx_eigensystem(n)
+
+
+class TestBinomials:
+    def test_cached_read_only_and_close_to_gammaln(self):
+        from scipy.special import gammaln
+
+        for n in (1, 2, 17, 1000, 4000):
+            half = dicke._binomial_log_half(n)
+            assert dicke._binomial_log_half(n) is half
+            assert not half.flags.writeable
+            k = np.arange(n + 1)
+            ref = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+            # both round log-gammas of size up to n log n; math.lgamma and
+            # scipy differ by a few of their ulps
+            assert np.abs(half - ref).max() <= 2e-11
+
+
 class TestExpectation:
     def test_css_sz_zero(self, css_plus_x):
         assert abs(expectation(css_plus_x(20), SpinOp.SZ)) < 1e-12
@@ -373,6 +422,21 @@ class TestHusimi:
         assert s**2 * evals[0] == pytest.approx(var_min + 0.5 * s, rel=0.1)
         predicted_ratio = (var_max + 0.5 * s) / (var_min + 0.5 * s)
         assert 0.5 < ratio / predicted_ratio < 2.0
+
+    @pytest.mark.parametrize("n,n_azimuth", [(30, 8), (30, 64), (1000, 97), (1000, 1500)])
+    def test_fft_matches_phase_matrix(self, n, n_azimuth, rng):
+        # the direct sum over the (n_azimuth x N+1) phase matrix, with the
+        # azimuth count below and above N + 1
+        state = random_state(n, rng)
+        n_polar = 7
+        grid = husimi_grid(state, n_polar, n_azimuth)
+        phases = np.exp(-1j * np.outer(grid.azimuth, np.arange(n + 1)))
+        ref = np.array([
+            np.abs(phases @ (dicke._css_amplitudes(n, th) * state.amplitudes)) ** 2
+            for th in grid.polar]) * (n + 1.0) / (4.0 * math.pi)
+        assert grid.values.shape == (n_polar, n_azimuth)
+        # the phase matrix itself rounds k phi to an ulp of N 2 pi
+        np.testing.assert_allclose(grid.values, ref, rtol=0, atol=1e-14 * (n + 1) / (4 * math.pi))
 
     def test_grid_guards(self, css_plus_x):
         with pytest.raises(ValueError):

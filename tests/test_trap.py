@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import hbar
 from scipy.integrate import quad
+from scipy.special import i0e
 
+from braggtrap import trap
+from braggtrap.errors import QuadratureError
 from braggtrap.trap import (
     GAUSSIAN_WIDTH_RATIO,
     AtomTrapConfig,
@@ -218,6 +222,84 @@ class TestTauAccumulated:
         for upto in (math.nan, math.inf):
             with pytest.raises(ValueError, match="upto"):
                 tau_accumulated(AtomTrapConfig(), "gaussian", upto)
+
+
+class TestClosedFormQuadrature:
+    """The chi(t) integral without scipy: closed-form period mean by the
+    periodic trapezoid rule plus Gauss-Legendre panels for the rest."""
+
+    def test_hbar_matches_scipy_bitwise(self):
+        assert trap.hbar == scipy.constants.hbar
+
+    def test_period_mean_is_bessel_closed_form(self):
+        # A&S 9.6.19: the mean of exp(-a^2 sin^2 u) is e^-x I_0(x), x = a^2/2
+        for a in (0.0, 0.1, 1.0, 5.0, 35.7, 94.0, 1e3, 1e5):
+            mean, change = trap._overlap_mean(a * a)
+            assert change <= 1e-14
+            assert mean == pytest.approx(i0e(0.5 * a * a), rel=1e-13, abs=1e-16)
+
+    def test_matches_quad_over_seeded_configs(self):
+        # 120 configs: both models, prep and interrogation trajectories,
+        # whole, quarter, partial and multi-period windows
+        rng = np.random.default_rng(14)
+        fractions = (1.0, 0.5, None, 2.0, None, 0.03)
+        worst = 0.0
+        for i in range(120):
+            base = random_config(rng)
+            cfg = AtomTrapConfig(
+                atom_mass=base.atom_mass, scattering_length=base.scattering_length,
+                n_atoms=base.n_atoms, omega_x=base.omega_x, omega_y=base.omega_y,
+                omega_z=base.omega_z,
+                omega_z_tilde=base.omega_z * rng.uniform(0.3, 2.0))
+            model = ("gaussian", "thomas_fermi")[i % 2]
+            interrogation = i % 3 == 0
+            d = derive_trap(cfg, model)
+            omega = cfg.omega_z_tilde if interrogation else cfg.omega_z
+            half = math.pi / omega
+            frac = fractions[i % len(fractions)]
+            upto = (rng.uniform(0.0, 3.0) if frac is None else frac) * half
+            n_full, rest = divmod(upto, half)
+            eps = 1e-15 * d.chi_max * half
+
+            def chi(t):
+                return chi_of_t(d, cfg, t, interrogation)
+
+            ref = n_full * quad(chi, 0.0, half, epsabs=eps, epsrel=1e-13, limit=500)[0]
+            if rest:
+                ref += quad(chi, 0.0, rest, epsabs=eps, epsrel=1e-13, limit=500)[0]
+            got = trap._integrate_chi(d, cfg, upto, interrogation)
+            worst = max(worst, abs(got - ref) / (d.chi_max * upto))
+        assert worst <= 1e-12
+
+    def test_whole_periods_multiply_exactly(self, rng):
+        for _ in range(10):
+            cfg = random_config(rng)
+            for model in ("gaussian", "thomas_fermi"):
+                half = tau_accumulated(cfg, model, 0.5 * cfg.period)
+                for m in (0.5, 1.0, 1.5, 2.0, 3.0, 5.5, 7.5):
+                    assert tau_accumulated(cfg, model, m * cfg.period) == 2.0 * m * half
+
+    def test_doubling_cap_raises(self, monkeypatch):
+        # the default trap's overlap dip needs a few hundred nodes and a
+        # few dozen panels; below that the last change exceeds the budget
+        cfg = AtomTrapConfig()
+        monkeypatch.setattr(trap, "_MAX_NODES", 32)
+        with pytest.raises(QuadratureError) as info:
+            tau_accumulated(cfg, "gaussian", 0.5 * cfg.period)
+        assert info.value.achieved > info.value.requested
+        monkeypatch.undo()
+        monkeypatch.setattr(trap, "_MAX_PANELS", 2)
+        with pytest.raises(QuadratureError):
+            tau_accumulated(cfg, "gaussian", 0.3 * cfg.period)
+
+    def test_unresolved_dip_stays_within_budget(self):
+        # at 1e-6 Hz the dip is 1e-6 of a period wide: the node count stops
+        # at its cap, where the last change is within the error budget
+        cfg = AtomTrapConfig().with_omega_z(TWO_PI * 1e-6)
+        d = derive_trap(cfg, "gaussian")
+        exact = d.chi_max * cfg.period * (1.0 - 2.0 * i0e(0.5 * (d.z_amp / d.sigma_z) ** 2))
+        got = tau_accumulated(cfg, "gaussian", cfg.period)
+        assert abs(got - exact) <= 1e-6 * d.chi_max * cfg.period
 
 
 class TestTauTilde:
