@@ -9,8 +9,7 @@ produce byte-identical data files, whatever the BLAS thread count except
 under ``--alpha-policy scan``; each file written to disk is accompanied by
 a ``<name>.manifest.json`` recording the resolved run.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure or
-internal error.
+Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__
 from .closed_form import xi2_closed
 from .dicke import husimi_grid, spin_moments
-from .errors import BraggTrapError, InternalError, ResourceLimitError
+from .errors import BraggTrapError, ResourceLimitError
 from .optimize import OptimizationSpec, optimized_gain, scan_m, scan_trap
 from .sequence import (
     SequenceConfig,
@@ -501,9 +500,6 @@ def dispatch(subcommand: str, params: dict, manifest: dict) -> int:
     except (UsageError, ResourceLimitError) as exc:
         print(f"braggtrap: error: {exc}", file=sys.stderr)
         return 1
-    except InternalError as exc:
-        print(f"braggtrap: internal error: {exc}", file=sys.stderr)
-        return 2
     except (BraggTrapError, ValueError) as exc:
         print(f"braggtrap: numerical failure: {exc}", file=sys.stderr)
         return 2

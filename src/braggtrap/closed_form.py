@@ -4,7 +4,10 @@ These formulas duplicate what the exact Dicke-basis simulator computes for a
 one-axis-twisted coherent state, as analytic functions of (N, tau, alpha).
 They serve two purposes: a fast path for scans, and an independent oracle the
 simulator is tested against.  All cos(tau)**(2S-k) powers are evaluated in
-log space so N ~ 1e3 does not underflow term by term.
+log space so N ~ 1e3 does not underflow term by term.  The moments depend on
+tau only through sines and cosines of tau, 2 tau and 3 tau, so tau is reduced
+modulo 2 pi (exactly, and not at all for |tau| <= pi) before it is doubled
+or tripled; a huge finite tau then gives a result, not an overflow.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ class AnalyticMoments:
 
 def _shear_parameters(n_atoms: int, tau: float) -> tuple[float, float, float]:
     n = n_atoms
+    tau = math.remainder(tau, 2.0 * math.pi)
     a_coef = 1.0 - _pow_signed(math.cos(2.0 * tau), n - 2)
     b_coef = 4.0 * math.sin(tau) * _pow_signed(math.cos(tau), n - 2)
     if a_coef == 0.0:
@@ -110,6 +114,7 @@ def xi2_closed(n_atoms: int, tau: float) -> float:
     if n_atoms < 2:
         raise ValueError("n_atoms must be >= 2")
     n = n_atoms
+    tau = math.remainder(tau, 2.0 * math.pi)
     mean2 = _pow_signed(math.cos(tau), 2 * n - 2)
     if mean2 < 1e-20:
         raise DegenerateStateError(
@@ -149,6 +154,7 @@ def output_moments_perturbative(
         raise ValueError("n_atoms must be >= 2")
     n = n_atoms
     s = 0.5 * n
+    tau = math.remainder(tau, 2.0 * math.pi)
     g = alpha + beta
     mom = twisted_ladder_moments(n, tau)
 
@@ -196,6 +202,7 @@ def twisted_ladder_moments(n_atoms: int, tau: float) -> dict[str, complex]:
         raise ValueError("n_atoms must be >= 2")
     n = n_atoms
     s = 0.5 * n
+    tau = math.remainder(tau, 2.0 * math.pi)
     c1 = _pow_signed(math.cos(tau), n - 1)
     c2 = _pow_signed(math.cos(tau), n - 2)
     c3 = _pow_signed(math.cos(tau), n - 3)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStateError, InternalError, ResourceLimitError
+from .errors import DegenerateStateError, ResourceLimitError
 
 __all__ = [
     "DickeState",
@@ -56,9 +56,6 @@ __all__ = [
 # keeps long binomial tails from polluting moments with denormals.
 _LOG_FLOOR = -700.0
 _NORM_TOL = 1e-10
-# Imaginary residue allowed on Hermitian expectation values, relative to the
-# natural operator scale S**order.
-_HERMITIAN_IMAG_TOL = 1e-12
 # Spread of the y-z second moments, relative to sy2 + sz2, below which the
 # block counts as isotropic.  Relative because rounding leaves a spread of
 # order eps * S (3.5e-12 of sy2 + sz2 at N = 1e5); genuine twists are far
@@ -226,9 +223,14 @@ def make_css(n_atoms: int, polar: float, azimuth: float) -> DickeState:
 
 
 def apply_oat(state: DickeState, tau: float) -> DickeState:
-    """One-axis twisting exp(-i * tau * S_z^2): diagonal phases exp(-i tau m^2)."""
+    """One-axis twisting exp(-i * tau * S_z^2): diagonal phases exp(-i tau m^2).
+
+    The phases have period 2 pi in tau for even N (integer m) and 8 pi for
+    odd N (m^2 = k(k+1) + 1/4), so tau is reduced by that period first.
+    """
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
+    tau = math.remainder(tau, (2.0 if state.n_atoms % 2 == 0 else 8.0) * math.pi)
     if tau == 0.0:
         return state
     m = state.m_values
@@ -465,28 +467,23 @@ def apply_rotation(state: DickeState, pulse: PulseSpec) -> DickeState:
     return DickeState(n, amps)
 
 
-def _raising_sums(c: np.ndarray, n_atoms: int) -> dict:
-    """Raw ladder sums read by the moment kernel and the Hermitian labels,
-    along the last axis of the amplitudes c (one state or a (K, N+1) block)."""
-    j = 0.5 * n_atoms
-    m = j - np.arange(n_atoms + 1)
-    f = _ladder_strengths(n_atoms)  # f[i]: |i> -> |i-1| strength of S_+
+def _ladder_sums(c: np.ndarray, n_atoms: int) -> tuple:
+    """(norm, <S_z>, <S_z^2>, <S_+>, <S_+ S_z>, <S_+^2>), each summed along the
+    last axis of the amplitudes c (one state or a (K, N+1) block).
+
+    These six give every moment up to second order: <S_-> = <S_+>*,
+    <S_-^2> = <S_+^2>* and S_+ S_- + S_- S_+ = 2 (S(S+1) - S_z^2).
+    """
+    m = 0.5 * n_atoms - np.arange(n_atoms + 1)
+    f = _ladder_strengths(n_atoms)  # f[i]: |i> -> |i-1> strength of S_+
     pops = np.abs(c) ** 2
-    up1 = np.conj(c[..., :-1]) * c[..., 1:]  # pairs (i-1, i)
+    up1 = np.conj(c[..., :-1]) * c[..., 1:] * f[1:]  # pairs (i-1, i)
     up2 = np.conj(c[..., :-2]) * c[..., 2:]  # pairs (i-2, i); empty for n = 1
-    ff = f[2:] * f[1:-1]
+    up2 *= f[2:] * f[1:-1]
+    pops_m = pops * m
     total = np.add.reduce  # np.sum's own reduction, without its wrapper's overhead
-    return {
-        "sp": total(up1 * f[1:], axis=-1),
-        "sp_sz": total(up1 * f[1:] * m[1:], axis=-1),
-        "sm": total(np.conj(c[..., 1:]) * c[..., :-1] * f[1:], axis=-1),
-        "sz": total(pops * m, axis=-1),
-        "sz2": total(pops * m * m, axis=-1),
-        "sp_sm": total(pops * (j * (j + 1.0) - m * (m - 1.0)), axis=-1),
-        "sm_sp": total(pops * (j * (j + 1.0) - m * (m + 1.0)), axis=-1),
-        "sp2": total(up2 * ff, axis=-1),
-        "sm2": total(np.conj(c[..., 2:]) * c[..., :-2] * ff, axis=-1),
-    }
+    return (total(pops, axis=-1), total(pops_m, axis=-1), total(pops_m * m, axis=-1),
+            total(up1, axis=-1), total(up1 * m[1:], axis=-1), total(up2, axis=-1))
 
 
 # Third-order ladder sums, which only ``expectation`` reads, from the
@@ -499,49 +496,22 @@ _THIRD_ORDER = {
 }
 
 
-# Each Hermitian label: the power of S setting its magnitude scale (which
-# normalises the imaginary-part check) and its value from the ladder sums.
-_HERMITIAN = {
-    SpinOp.SX: (1, lambda s: 0.5 * (s["sp"] + s["sm"])),
-    SpinOp.SY: (1, lambda s: -0.5j * (s["sp"] - s["sm"])),
-    SpinOp.SZ: (1, lambda s: s["sz"]),
-    SpinOp.SX2: (2, lambda s: 0.25 * (s["sp2"] + s["sm2"] + s["sp_sm"] + s["sm_sp"])),
-    SpinOp.SY2: (2, lambda s: 0.25 * (-s["sp2"] - s["sm2"] + s["sp_sm"] + s["sm_sp"])),
-    SpinOp.SZ2: (2, lambda s: s["sz2"]),
-    SpinOp.SP_SM: (2, lambda s: s["sp_sm"]),
-}
-
-
-def _hermitian(sums: dict, op: SpinOp, spin: float) -> np.ndarray:
-    """Real value of a Hermitian label for each state of the sums, checking
-    every imaginary residue.  A residue above tolerance is a kernel bug."""
-    order, formula = _HERMITIAN[op]
-    value = formula(sums)
-    scale = max(1.0, spin**order)
-    residue = abs(value.imag)
-    if (residue > _HERMITIAN_IMAG_TOL * scale).any():
-        raise InternalError(
-            f"Hermitian operator {op.value} produced imaginary part "
-            f"{residue.max():.3e} (scale {scale:.3e})"
-        )
-    return value.real
-
-
 def expectation(state: DickeState, op: SpinOp | str) -> complex | float:
     """Exact expectation value of a labelled spin operator.
 
-    Hermitian labels are returned as floats after checking that the residual
-    imaginary part is below 1e-12 (relative to the operator scale S**order);
-    a larger residue indicates an operator-kernel bug and raises.
+    The six Hermitian labels of ``SpinMoments`` return its field of the same
+    name and S_+ S_- its real value, as floats; the other labels are complex.
     """
     op = SpinOp(op)
     if op in _THIRD_ORDER:
         f = _ladder_strengths(state.n_atoms)
         return complex(_THIRD_ORDER[op](state.amplitudes, f, state.m_values, state.spin))
-    sums = _raising_sums(state.amplitudes, state.n_atoms)
-    if op in _HERMITIAN:
-        return float(_hermitian(sums, op, state.spin))
-    return complex(sums[op.value])
+    if op.value in SpinMoments._fields:
+        return getattr(spin_moments(state), op.value)
+    norm, sz, sz2, sp, sp_sz, _ = _ladder_sums(state.amplitudes, state.n_atoms)
+    if op is SpinOp.SP_SM:  # S_+ S_- = S(S+1) - S_z^2 + S_z
+        return float(state.spin * (state.spin + 1.0) * norm - sz2 + sz)
+    return complex({SpinOp.SP: sp, SpinOp.SM: np.conj(sp), SpinOp.SP_SZ: sp_sz}[op])
 
 
 class SpinMoments(NamedTuple):
@@ -591,16 +561,15 @@ class SpinMoments(NamedTuple):
 
 def _moment_fields(c: np.ndarray, n_atoms: int) -> tuple:
     """The SpinMoments fields along the last axis of the amplitudes c."""
-    sums = _raising_sums(c, n_atoms)
-    sx, sy, sz, sx2, sy2, sz2 = (
-        _hermitian(sums, op, 0.5 * n_atoms)
-        for op in (SpinOp.SX, SpinOp.SY, SpinOp.SZ, SpinOp.SX2, SpinOp.SY2, SpinOp.SZ2)
-    )
-    # {S_x, S_y} = Im(S_+^2), and {S_x, S_z} + i {S_y, S_z} = 2 S_+ (S_z + 1/2),
-    # as expectation values
-    sp_half = sums["sp_sz"] + 0.5 * sums["sp"]
-    return (sx, sy, sz, sx2, sy2, sz2, sums["sp2"].imag,
-            2.0 * sp_half.real, 2.0 * sp_half.imag)
+    norm, sz, sz2, sp, sp_sz, sp2 = _ladder_sums(c, n_atoms)
+    j = 0.5 * n_atoms
+    # S_x^2 + S_y^2 = S(S+1) - S_z^2 and S_x^2 - S_y^2 = Re S_+^2; {S_x, S_y} =
+    # Im S_+^2, and {S_x, S_z} + i {S_y, S_z} = 2 S_+ (S_z + 1/2), as
+    # expectation values
+    transverse = j * (j + 1.0) * norm - sz2
+    sp_half = sp_sz + 0.5 * sp
+    return (sp.real, sp.imag, sz, 0.5 * (transverse + sp2.real), 0.5 * (transverse - sp2.real),
+            sz2, sp2.imag, 2.0 * sp_half.real, 2.0 * sp_half.imag)
 
 
 def spin_moments(state: DickeState) -> SpinMoments:

@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = ["BraggTrapError", "DegenerateStateError", "FlatSlopeError", "QuadratureError",
-           "ResourceLimitError", "InternalError"]
+           "ResourceLimitError"]
 
 
 class BraggTrapError(Exception):
@@ -28,8 +28,3 @@ class QuadratureError(BraggTrapError):
 class ResourceLimitError(BraggTrapError):
     """A size whose arrays would exceed a fixed memory limit; raised before
     anything is allocated."""
-
-
-class InternalError(BraggTrapError):
-    """A kernel broke an invariant it guarantees, such as a real expectation
-    value of a Hermitian operator; a bug in braggtrap, not in the input."""

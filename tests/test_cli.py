@@ -10,7 +10,6 @@ import pytest
 
 from braggtrap import cli
 from braggtrap.cli import main, parse_config
-from braggtrap.errors import InternalError
 
 
 def run_cli(args, capsys):
@@ -79,14 +78,12 @@ class TestExitCodes:
         assert code == 2
         assert "slope" in err or "numerical" in err
 
-    def test_internal_error_is_two(self, capsys, monkeypatch):
-        def broken(params, manifest):
-            raise InternalError("Hermitian operator sz produced imaginary part 1e-3")
-
-        monkeypatch.setitem(cli._DISPATCH, "gain", broken)
-        code, _, err = run_cli(["gain"], capsys)
-        assert code == 2
-        assert "internal error" in err and "numerical failure" not in err
+    def test_huge_finite_tau_gives_result_or_clean_error(self, capsys):
+        # tau * m^2 and 2 tau overflow unless tau is reduced by its period
+        for n in ("3", "1000"):
+            code, _, err = run_cli(["gain", "--tau", "1e308", "--n-atoms", n], capsys)
+            assert code in (0, 2), n
+            assert err == "" or err.startswith("braggtrap:"), err
 
     def test_non_finite_numbers_are_usage_errors(self, capsys):
         for args in (["scan-m", "--m-values", "nan"], ["scan-m", "--m-values", "inf"],
@@ -273,6 +270,8 @@ class TestDeterminism:
         ("fringe.csv", ["fringe", "--from-trap"]),
         ("husimi.csv", ["husimi", "--from-trap"]),
         ("scan_m.csv", ["scan-m", "--m-values", "0.5,1"]),
+        ("scan_trap.csv", ["scan-trap", "--sweep", "gamma", "--sweep-values", "0.5,1.5",
+                           "--m-values", "0.5,1"]),
     ]
 
     def test_data_files_independent_of_blas_threads(self, tmp_path):

@@ -20,7 +20,7 @@ from braggtrap.dicke import (
     spin_moments,
     wineland_xi2,
 )
-from braggtrap.errors import BraggTrapError, DegenerateStateError, InternalError, ResourceLimitError
+from braggtrap.errors import DegenerateStateError, ResourceLimitError
 
 from conftest import dense_axis_rotation, random_state
 
@@ -290,6 +290,20 @@ class TestSpinMoments:
             for field in ("sx", "sy", "sz", "sx2", "sy2", "sz2"):
                 assert getattr(mom, field) == expectation(state, field)
 
+    def test_ladder_identities(self, rng):
+        # the kernel reads <S_-> as <S_+>* and sx2 + sy2 as S(S+1) - sz2
+        for n in (1, 2, 17, 4000):
+            s = 0.5 * n
+            states = [random_state(n, rng) for _ in range(3)]
+            for state in states:
+                assert expectation(state, "sm") == np.conj(expectation(state, "sp"))
+            block = np.array([state.amplitudes for state in states])
+            norms = np.add.reduce(np.abs(block) ** 2, axis=-1)
+            rows = [spin_moments(state) for state in states] + block_moments(n, block)
+            for mom, norm in zip(rows, np.tile(norms, 2)):
+                total = mom.sx2 + mom.sy2 + mom.sz2
+                assert abs(total - s * (s + 1.0) * norm) <= 4.0 * np.finfo(float).eps * s * s
+
     def test_anticommutator_matches_dense(self, rng):
         for n in (1, 2, 17):
             state = random_state(n, rng)
@@ -330,20 +344,6 @@ class TestBlockMoments:
             block_moments(5, block)
         with pytest.raises(ValueError, match="2-D"):
             block_moments(6, block[0])
-
-
-class TestHermitianCheck:
-    def test_imaginary_residue_is_internal_error(self):
-        # one state of three carries an imaginary <S_z>: a kernel bug, not a
-        # degenerate state
-        sums = {"sz": np.array([0.5, -0.25 + 1e-9j, 0.0])}
-        with pytest.raises(InternalError, match="imaginary part 1.000e-09"):
-            dicke._hermitian(sums, SpinOp.SZ, 1.0)
-        assert issubclass(InternalError, BraggTrapError)
-        assert not issubclass(InternalError, DegenerateStateError)
-        np.testing.assert_array_equal(
-            dicke._hermitian({"sz": np.array([0.5, -0.25 + 1e-13j])}, SpinOp.SZ, 1.0),
-            [0.5, -0.25])
 
 
 class TestWineland:
