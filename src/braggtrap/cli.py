@@ -5,8 +5,9 @@ documented defaults, in that precedence order.  Frequencies are accepted in
 Hz (nu) and converted to angular frequencies internally (factor 2 pi).
 Outputs are machine-readable data only: CSV for curves and scans, JSON for
 scalar results; diagnostics go to stderr.  Identical resolved parameters
-produce byte-identical data files, whatever the BLAS thread count except
-under ``--alpha-policy scan``; each file written to disk is accompanied by
+produce byte-identical data files, whatever the BLAS thread count; only
+``--alpha-policy scan`` calls BLAS, and its files matched under 1 and 2
+threads in every case tried.  Each file written to disk is accompanied by
 a ``<name>.manifest.json`` recording the resolved run.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
@@ -289,7 +290,7 @@ def parse_config(argv: list[str]) -> tuple[str, dict, dict]:
 def _trap_from_params(params: dict) -> AtomTrapConfig:
     tilde = params.get("omega_z_tilde_hz")
     try:
-        return AtomTrapConfig(
+        trap = AtomTrapConfig(
             atom_mass=params["atom_mass_kg"],
             scattering_length=params["scattering_length_m"],
             n_atoms=params["n_atoms"],
@@ -301,8 +302,23 @@ def _trap_from_params(params: dict) -> AtomTrapConfig:
             k0=params["k0_inv_m"],
             oscillations=params["oscillations"],
         )
+        derive_trap(trap, params["model"])  # its scales must be representable
+        tau_closed_form(trap)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return trap
+
+
+def _swept_trap(base: AtomTrapConfig, sweep: str, value: float, model: str) -> AtomTrapConfig:
+    """base at one value of a "gamma" or "omega_z" (rad/s) sweep; a value
+    whose trap scales leave the floating-point range is a usage error."""
+    try:
+        cfg = base.with_aspect_ratio(value) if sweep == "gamma" else base.with_omega_z(value)
+        derive_trap(cfg, model)
+        tau_closed_form(cfg)
+    except ValueError as exc:
+        raise UsageError(f"sweep_values: {exc}") from exc
+    return cfg
 
 
 def _sequence_from_params(params: dict) -> SequenceConfig:
@@ -389,10 +405,8 @@ def _run_tau(params: dict, manifest: dict) -> list[str]:
     m = base.oscillations
     rows = []
     for value in values:
-        if sweep == "gamma":
-            cfg = base.with_aspect_ratio(value)
-        else:
-            cfg = base.with_omega_z(TWO_PI * value)
+        cfg = _swept_trap(base, sweep, value if sweep == "gamma" else TWO_PI * value,
+                          params["model"])
         # the separated-mode estimate models the Thomas-Fermi rate over a
         # window of m half-periods, so that pairing is what gets compared;
         # tau_prep is the preparation value actually fed to the sequence
@@ -459,6 +473,8 @@ def _run_scan_trap(params: dict, manifest: dict) -> list[str]:
     m_values = [m for m in params["m_values"] if m > 0]
     if not m_values:
         raise UsageError("m_values must contain at least one m > 0")
+    for value in values:
+        _swept_trap(trap, sweep, value, params["model"])
     rows = scan_trap(trap, sweep, values, m_values, _spec_from_params(params), params["model"])
     return _emit(_scan_rows_csv(rows), params["output"], manifest)
 

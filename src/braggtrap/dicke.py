@@ -11,14 +11,17 @@ phases) goes by the Chebyshev series of exp(-i a S_x) in the tridiagonal
 S_x / S (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): no
 eigensystem, O(N) memory, and no BLAS call (elementwise numpy and
 pocketfft), so the bits do not depend on the BLAS thread count.  One state
-rotated by many angles (the alpha block of the joint search,
-``x_rotation_block``) and the test helper ``wigner_d`` use the
-eigendecomposition of the real symmetric tridiagonal S_x matrix, whose
-spectrum is exactly m = -S ... +S and whose eigenvector matrix is orthogonal
-(naive column recurrences for the Wigner d-matrix blow up beyond N of a few
-hundred); S_x commutes with the index reversal, so it is diagonalized as two
-half-size tridiagonals, one per reversal parity.  z rotations and one-axis
-twisting are diagonal phase multiplications.
+rotated by many angles (the alpha block of the joint search) and the test
+helper ``wigner_d`` use the eigendecomposition of the real symmetric
+tridiagonal S_x matrix, whose spectrum is exactly m = -S ... +S and whose
+eigenvector matrix is orthogonal (naive column recurrences for the Wigner
+d-matrix blow up beyond N of a few hundred).  S_x commutes with the index
+reversal J (m -> -m), so it is diagonalized as two half-size tridiagonals,
+one per reversal parity.  The alpha block rotates a J-even state and builds
+the even sector alone (``_even_x_rotation_block``), so its 1 GiB limit
+admits N <= 16383; only ``wigner_d`` assembles the full eigenvector matrix
+from both sectors (N <= 8191).  z rotations and one-axis twisting are
+diagonal phase multiplications.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "make_css",
     "apply_oat",
     "apply_rotation",
-    "x_rotation_block",
     "expectation",
     "SpinMoments",
     "spin_moments",
@@ -62,7 +64,9 @@ _NORM_TOL = 1e-10
 # above.
 _ISOTROPY_TOL = 1e-10
 _DENSE_MAX_ATOMS = 64
-# Largest S_x eigensystem in bytes; admits N <= 8191
+# Largest S_x eigensystem in bytes: one sector's matrix and eigenvectors
+# (N <= 16383 for the even sector) or, for wigner_d, the full eigenvector
+# matrix and both sectors (N <= 8191)
 _EIGENSYSTEM_MAX_BYTES = 1 << 30
 # The Chebyshev series of an x rotation stops at the first order whose Bessel
 # coefficient is provably below _BESSEL_TOL.
@@ -81,10 +85,7 @@ class SpinOp(str, Enum):
     SP = "sp"
     SM = "sm"
     SP_SZ = "sp_sz"
-    SP2_SZ = "sp2_sz"
-    SP_SZ2 = "sp_sz2"
     SP_SM = "sp_sm"
-    SP2_SM = "sp2_sm"
 
 
 @dataclass(frozen=True)
@@ -244,20 +245,51 @@ def _ladder_strengths(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _sx_eigensystem(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal eigenvectors of the tridiagonal S_x and its exact spectrum.
+def _sx_eigensystem(n_atoms: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """One reversal-parity sector of the tridiagonal S_x: its exact spectrum
+    (ascending) and the orthogonal eigenvectors of its half-size
+    tridiagonal, as columns.
 
     S_x commutes with the index reversal J, so each eigenvector is
-    [x; (middle); +-J x] (Cantoni & Butler, Linear Algebra Appl. 13, 275
-    (1976)): two tridiagonals of about half size, with h = (N+1) // 2 and
-    couplings off.  For N odd the last diagonal entry is +-off[h-1]; for N
-    even the even sector keeps the middle site, coupled by sqrt(2) off[h-1].
-    The largest m is even and parities alternate down the spectrum.  The
-    eigenvalues are snapped to the exact m = -S ... +S (ascending), which
-    keeps rotation angles like 2 pi exactly periodic.  Raises
-    ResourceLimitError before allocating when the eigenvectors, each
+    [x; (middle); +-J x] / sqrt(2) in the h = (N+1) // 2 paired sites
+    (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)), with x a column
+    of the sector's eigenvectors and parity +1 or -1 the sign.  For N odd the
+    last diagonal entry is +-off[h-1]; for N even the even sector keeps the
+    middle site, coupled by sqrt(2) off[h-1].  The largest m is even and
+    parities alternate down the spectrum, so each sector's eigenvalues are
+    snapped to every second exact m, which keeps rotation angles like 2 pi
+    exactly periodic.  Raises ResourceLimitError before allocating when the
     sector's matrix and its eigenvectors would exceed _EIGENSYSTEM_MAX_BYTES.
     """
+    n = n_atoms
+    d = n + 1
+    h = d // 2
+    size = d - h if parity > 0 else h
+    need = 16 * size * size
+    if need > _EIGENSYSTEM_MAX_BYTES:
+        raise ResourceLimitError(
+            f"n_atoms = {n} needs {need} B for the S_x eigensystem, above the "
+            f"limit of {_EIGENSYSTEM_MAX_BYTES} B")
+    off = 0.5 * _ladder_strengths(n)[1:]
+    t = np.zeros((size, size))
+    t.flat[size::size + 1] = off[:size - 1]  # eigh reads the lower triangle only
+    if d % 2 == 0:
+        t[-1, -1] = parity * off[h - 1]
+    elif parity > 0:
+        t[-1, -2] *= math.sqrt(2.0)
+    x = np.linalg.eigh(t)[1]
+    m_exact = (np.arange(d) - 0.5 * n)[(d - 1) % 2 if parity > 0 else d % 2::2]
+    x.setflags(write=False)
+    m_exact.setflags(write=False)
+    return m_exact, x
+
+
+def _sx_eigenbasis(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full S_x eigensystem from both parity sectors: the exact m = -S
+    ... +S (ascending) and the orthogonal matrix whose columns are the
+    eigenvectors.  Raises ResourceLimitError before allocating when the
+    matrix and both sectors would exceed _EIGENSYSTEM_MAX_BYTES, which admits
+    N <= 8191."""
     n = n_atoms
     d = n + 1
     h = d // 2
@@ -266,29 +298,14 @@ def _sx_eigensystem(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
         raise ResourceLimitError(
             f"n_atoms = {n} needs {need} B for the S_x eigensystem, above the "
             f"limit of {_EIGENSYSTEM_MAX_BYTES} B")
-    off = 0.5 * _ladder_strengths(n)[1:]
-    if d % 2 == 0:
-        sectors = [(off[h - 1], off[:h - 1]), (-off[h - 1], off[:h - 1])]
-    else:
-        sectors = [(0.0, np.append(off[:h - 1], math.sqrt(2.0) * off[h - 1])),
-                   (0.0, off[:h - 1])]
     rows = np.empty((d, d))  # row j: the eigenvector of the j-th smallest m
-    parities = ((1.0, rows[(d - 1) % 2::2]), (-1.0, rows[d % 2::2]))
-    for (sign, sector), (last, couplings) in zip(parities, sectors):
-        size = len(couplings) + 1
-        t = np.zeros((size, size))
-        t.flat[size::size + 1] = couplings  # eigh reads the lower triangle only
-        t[-1, -1] = last
-        x = np.linalg.eigh(t)[1].T  # rows by ascending eigenvalue
+    for parity, sector in ((1, rows[(d - 1) % 2::2]), (-1, rows[d % 2::2])):
+        x = _sx_eigensystem(n, parity)[1]
         sector[:, h:d - h] = 0.0  # the middle site of the odd sector
-        sector[:, :x.shape[1]] = x
+        sector[:, :len(x)] = x.T
         sector[:, :h] *= math.sqrt(0.5)
-        sector[:, d - h:] = sign * sector[:, h - 1::-1]
-    evecs = rows.T
-    m_exact = np.arange(d) - 0.5 * n
-    evecs.setflags(write=False)
-    m_exact.setflags(write=False)
-    return m_exact, evecs
+        sector[:, d - h:] = parity * sector[:, h - 1::-1]
+    return np.arange(d) - 0.5 * n, rows.T
 
 
 @lru_cache(maxsize=1024)
@@ -402,24 +419,36 @@ def _chebyshev_rotate_x(amplitudes: np.ndarray, n_atoms: int, angle: float) -> n
     return out
 
 
-def x_rotation_block(state: DickeState) -> Callable[[np.ndarray], np.ndarray]:
-    """rotate(angles): the states exp(-i angles[k] S_x) state as the rows of a
-    (K, N+1) complex array.
+def _even_x_rotation_block(state: DickeState) -> Callable[[np.ndarray], np.ndarray]:
+    """rotate(angles): the states exp(-i angles[k] S_x) (state + J state) / 2
+    as the rows of a (K, N+1) complex array, J the index reversal.
 
-    The state's S_x eigenbasis coefficients c = U^T amplitudes are computed
-    once; each block is then (exp(-i angles m) * c) U^T as one real GEMM on
-    the stacked real and imaginary parts, so U is never cast to complex.
+    Only the even sector of S_x is built.  The amplitudes fold once to its
+    half coordinates y (the paired sites' sum over sqrt(2), the middle site
+    as is), whose sector coefficients c = X^T y are computed once; each block
+    is then (exp(-i angles m) * c) X^T as one real GEMM on the stacked real
+    and imaginary parts, unfolded by mirroring.  For a reversal-even state,
+    such as the twisted +x coherent state, that is its rotation.
     """
-    m_eig, u = _sx_eigensystem(state.n_atoms)
-    re, im = np.stack((state.amplitudes.real, state.amplitudes.imag)) @ u
+    n = state.n_atoms
+    m_even, x = _sx_eigensystem(n, 1)
+    d = n + 1
+    h = d // 2
+    amps = state.amplitudes
+    y = np.concatenate((math.sqrt(0.5) * (amps[:h] + amps[:-h - 1:-1]), amps[h:d - h]))
+    re, im = np.stack((y.real, y.imag)) @ x
     coeffs = re + 1j * im
 
     def rotate(angles: np.ndarray) -> np.ndarray:
-        rows = np.exp(-1j * np.multiply.outer(np.asarray(angles, dtype=float), m_eig))
+        rows = np.exp(-1j * np.multiply.outer(np.asarray(angles, dtype=float), m_even))
         rows *= coeffs
-        parts = np.concatenate((rows.real, rows.imag)) @ u.T
-        rows.real, rows.imag = np.split(parts, 2)
-        return rows
+        k = len(rows)
+        half = np.concatenate((rows.real, rows.imag)) @ x.T
+        half[:, :h] *= math.sqrt(0.5)
+        out = np.empty((k, d), dtype=np.complex128)
+        out.real[:, :d - h], out.imag[:, :d - h] = half[:k], half[k:]
+        out[:, d - h:] = out[:, h - 1::-1]
+        return out
 
     return rotate
 
@@ -436,7 +465,7 @@ def wigner_d(n_atoms: int, angle: float) -> np.ndarray:
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     n = int(n_atoms)
-    m_eig, u = _sx_eigensystem(n)
+    m_eig, u = _sx_eigenbasis(n)
     cos_part = (u * np.cos(angle * m_eig)) @ u.T
     sin_part = (u * np.sin(angle * m_eig)) @ u.T
     k = np.arange(n + 1)
@@ -486,16 +515,6 @@ def _ladder_sums(c: np.ndarray, n_atoms: int) -> tuple:
             total(up1, axis=-1), total(up1 * m[1:], axis=-1), total(up2, axis=-1))
 
 
-# Third-order ladder sums, which only ``expectation`` reads, from the
-# amplitudes c, the S_+ strengths f, the m values and the spin j.
-_THIRD_ORDER = {
-    SpinOp.SP_SZ2: lambda c, f, m, j: np.sum(np.conj(c[:-1]) * c[1:] * f[1:] * m[1:] ** 2),
-    SpinOp.SP2_SZ: lambda c, f, m, j: np.sum(np.conj(c[:-2]) * c[2:] * (f[2:] * f[1:-1]) * m[2:]),
-    SpinOp.SP2_SM: lambda c, f, m, j: np.sum(
-        np.conj(c[:-1]) * c[1:] * (j * (j + 1.0) - m[1:] * (m[1:] - 1.0)) * f[1:]),
-}
-
-
 def expectation(state: DickeState, op: SpinOp | str) -> complex | float:
     """Exact expectation value of a labelled spin operator.
 
@@ -503,9 +522,6 @@ def expectation(state: DickeState, op: SpinOp | str) -> complex | float:
     name and S_+ S_- its real value, as floats; the other labels are complex.
     """
     op = SpinOp(op)
-    if op in _THIRD_ORDER:
-        f = _ladder_strengths(state.n_atoms)
-        return complex(_THIRD_ORDER[op](state.amplitudes, f, state.m_values, state.spin))
     if op.value in SpinMoments._fields:
         return getattr(spin_moments(state), op.value)
     norm, sz, sz2, sp, sp_sz, _ = _ladder_sums(state.amplitudes, state.n_atoms)
@@ -658,9 +674,6 @@ def operator_matrix(n_atoms: int, op: SpinOp | str) -> np.ndarray:
         SpinOp.SP: lambda: sp,
         SpinOp.SM: lambda: sm,
         SpinOp.SP_SZ: lambda: sp @ sz,
-        SpinOp.SP2_SZ: lambda: sp @ sp @ sz,
-        SpinOp.SP_SZ2: lambda: sp @ sz @ sz,
         SpinOp.SP_SM: lambda: sp @ sm,
-        SpinOp.SP2_SM: lambda: sp @ sp @ sm,
     }
     return table[op]()

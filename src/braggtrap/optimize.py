@@ -160,7 +160,7 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
     """
     spec = spec or OptimizationSpec()
     n = config.n_atoms
-    chis = pre_phase_block(prepared_state(config), config.tau_tilde)
+    chis = pre_phase_block(config)
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1)))
 
     def profiles(alphas: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -158,6 +159,20 @@ class TrapDerived:
     z_sag: float       # gravitational sag -g/omega_z^2, m (static offset only)
 
 
+def _representable(name: str, config: AtomTrapConfig, fields: tuple[str, ...],
+                   compute: Callable[[], float]) -> float:
+    """compute(), a scale derived from the fields of config; raises ValueError
+    naming those fields when it overflows or divides by an underflowed zero."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        inputs = ", ".join(f"{field} = {getattr(config, field)!r}" for field in fields)
+        raise ValueError(f"{name} leaves the floating-point range at {inputs}")
+    return value
+
+
 def derive_trap(config: AtomTrapConfig, model: str = "gaussian") -> TrapDerived:
     """Chemical potential, radii, widths, and chi_max for a trap configuration.
 
@@ -173,18 +188,26 @@ def derive_trap(config: AtomTrapConfig, model: str = "gaussian") -> TrapDerived:
     m_at = config.atom_mass
     a = config.scattering_length
     n = config.n_atoms
-    omega_0 = (config.omega_x * config.omega_y * config.omega_z) ** (1.0 / 3.0)
-    mu = 0.5 * hbar * omega_0 * (15.0 * n * a * math.sqrt(m_at * omega_0 / hbar)) ** 0.4
-    r_x = math.sqrt(2.0 * mu / (m_at * config.omega_x**2))
-    r_y = math.sqrt(2.0 * mu / (m_at * config.omega_y**2))
-    r_z = math.sqrt(2.0 * mu / (m_at * config.omega_z**2))
+    every = ("n_atoms", "scattering_length", "atom_mass", "omega_x", "omega_y", "omega_z")
+    omega_0 = _representable("omega_0", config, every[3:], lambda: (
+        config.omega_x * config.omega_y * config.omega_z) ** (1.0 / 3.0))
+    mu = _representable("mu", config, every, lambda: (
+        0.5 * hbar * omega_0 * (15.0 * n * a * math.sqrt(m_at * omega_0 / hbar)) ** 0.4))
+    r_x = _representable("r_x", config, ("omega_x",),
+                         lambda: math.sqrt(2.0 * mu / (m_at * config.omega_x**2)))
+    r_y = _representable("r_y", config, ("omega_y",),
+                         lambda: math.sqrt(2.0 * mu / (m_at * config.omega_y**2)))
+    r_z = _representable("r_z", config, ("omega_z",),
+                         lambda: math.sqrt(2.0 * mu / (m_at * config.omega_z**2)))
     b = GAUSSIAN_WIDTH_RATIO
     g_int = 4.0 * math.pi * hbar**2 * a / m_at
     volume = r_x * r_y * r_z
     if model == "gaussian":
-        chi_max = g_int / ((4.0 * math.pi * b * b) ** 1.5 * hbar * volume)
+        chi_max = _representable("chi_max", config, every, lambda: (
+            g_int / ((4.0 * math.pi * b * b) ** 1.5 * hbar * volume)))
     else:
-        chi_max = 15.0 / (14.0 * math.pi) * g_int / (hbar * volume)
+        chi_max = _representable("chi_max", config, every, lambda: (
+            15.0 / (14.0 * math.pi) * g_int / (hbar * volume)))
     return TrapDerived(
         model=model,
         mu=mu,
@@ -193,8 +216,10 @@ def derive_trap(config: AtomTrapConfig, model: str = "gaussian") -> TrapDerived:
         omega_0=omega_0,
         b=b,
         chi_max=chi_max,
-        z_amp=hbar * config.k0 / (m_at * config.omega_z),
-        z_sag=-config.gravity / config.omega_z**2,
+        z_amp=_representable("z_amp", config, ("k0", "atom_mass", "omega_z"),
+                             lambda: hbar * config.k0 / (m_at * config.omega_z)),
+        z_sag=_representable("z_sag", config, ("gravity", "omega_z"),
+                             lambda: -config.gravity / config.omega_z**2),
     )
 
 
@@ -355,11 +380,10 @@ def tau_closed_form(config: AtomTrapConfig, m: float | None = None) -> float:
     if m is None:
         m = config.oscillations
     gamma = config.aspect_ratio
-    core = (
-        15.0 * config.scattering_length * gamma**2
-        * math.sqrt(config.atom_mass / hbar)
-    ) ** 0.4
-    return 2.0 * m * math.pi / 7.0 * core * (config.omega_z / config.n_atoms**3) ** 0.2
+    return _representable("tau_closed_form", config, ("omega_x", "omega_z"), lambda: (
+        2.0 * m * math.pi / 7.0
+        * (15.0 * config.scattering_length * gamma**2 * math.sqrt(config.atom_mass / hbar)) ** 0.4
+        * (config.omega_z / config.n_atoms**3) ** 0.2))
 
 
 def gravity_phase(config: AtomTrapConfig) -> float:

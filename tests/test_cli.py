@@ -125,6 +125,20 @@ class TestExitCodes:
         assert out == ""
         assert "mean spin length" in err
 
+    def test_unrepresentable_trap_is_usage_error(self, capsys):
+        # each overflowed or divided by an underflowed zero inside the trap
+        # scales, and the sweep's gamma^2 overflows tau_closed_form too
+        for args, key in (
+            (["gain", "--from-trap", "--omega-z-hz", "1e300"], "omega_z"),
+            (["gain", "--from-trap", "--omega-z-hz", "1e-300"], "omega_z"),
+            (["tau", "--sweep", "gamma", "--sweep-values", "1e300"], "sweep_values"),
+        ):
+            code, out, err = run_cli(args, capsys)
+            assert code == 1, args
+            assert out == ""
+            assert err.startswith("braggtrap: error:") and key in err, err
+            assert "Traceback" not in err
+
     def test_huge_eigensystem_is_usage_error(self, capsys, monkeypatch):
         from braggtrap import dicke
 
@@ -260,9 +274,8 @@ class TestDeterminism:
         assert run_cli(args + ["--output", str(second)], capsys)[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
-    # every command whose output comes from per-state rotations; at the
-    # default N = 1000 an S_x eigenbasis gives different bits under 1 and 2
-    # BLAS threads for all but scan-m
+    # every command whose output comes from per-state rotations, which call
+    # no BLAS, and two under --alpha-policy scan, whose alpha search does
     THREAD_RUNS = [
         ("gain.json", ["gain", "--from-trap"]),
         ("fixed.json", ["optimize", "--from-trap", "--alpha-policy", "fixed"]),
@@ -272,11 +285,16 @@ class TestDeterminism:
         ("scan_m.csv", ["scan-m", "--m-values", "0.5,1"]),
         ("scan_trap.csv", ["scan-trap", "--sweep", "gamma", "--sweep-values", "0.5,1.5",
                            "--m-values", "0.5,1"]),
+        ("scan.json", ["optimize", "--from-trap", "--alpha-policy", "scan"]),
+        ("scan_trap_scan.csv", ["scan-trap", "--alpha-policy", "scan", "--n-atoms", "200",
+                                "--sweep", "gamma", "--sweep-values", "0.5,1.5",
+                                "--m-values", "0.5,1"]),
     ]
 
     def test_data_files_independent_of_blas_threads(self, tmp_path):
-        # per-state rotations call no BLAS, so the bytes cannot depend on
-        # how BLAS splits a sum over threads
+        # per-state rotations call no BLAS, so their bytes cannot depend on
+        # how BLAS splits a sum over threads; the scan runs check that its
+        # alpha search picks the same alpha either way
         code = ("import json, os, sys\n"
                 "from braggtrap.cli import main\n"
                 "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"

@@ -218,16 +218,18 @@ class TestLadderMoments:
     def test_against_dense_matrices(self, n, tau):
         psi = twisted(n, tau).amplitudes
         sp = operator_matrix(n, SpinOp.SP)
+        sz = operator_matrix(n, SpinOp.SZ)
+        sm = operator_matrix(n, SpinOp.SM)
         dense = {
             "sp": sp,
             "sp2": sp @ sp,
             "sp3": sp @ sp @ sp,
             "sp_sz": operator_matrix(n, SpinOp.SP_SZ),
-            "sp2_sz": operator_matrix(n, SpinOp.SP2_SZ),
-            "sp_sz2": operator_matrix(n, SpinOp.SP_SZ2),
+            "sp2_sz": sp @ sp @ sz,
+            "sp_sz2": sp @ sz @ sz,
             "sp_sm": operator_matrix(n, SpinOp.SP_SM),
-            "sp2_sm": operator_matrix(n, SpinOp.SP2_SM),
-            "sz": operator_matrix(n, SpinOp.SZ),
+            "sp2_sm": sp @ sp @ sm,
+            "sz": sz,
             "sz2": operator_matrix(n, SpinOp.SZ2),
         }
         closed = twisted_ladder_moments(n, tau)

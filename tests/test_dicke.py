@@ -150,16 +150,28 @@ class TestApplyRotation:
             PulseSpec("x", math.nan)
 
 
+def eigenbasis_rotation(state, angles):
+    """exp(-i angle S_x) state for each angle, as rows, through the full S_x
+    eigenbasis assembled from both reversal-parity sectors."""
+    m, u = dicke._sx_eigenbasis(state.n_atoms)
+    re, im = np.stack((state.amplitudes.real, state.amplitudes.imag)) @ u
+    rows = np.exp(-1j * np.multiply.outer(np.asarray(angles), m)) * (re + 1j * im)
+    parts = np.concatenate((rows.real, rows.imag)) @ u.T
+    return parts[:len(rows)] + 1j * parts[len(rows):]
+
+
 class TestChebyshevRotation:
     """The per-state x rotation (a Chebyshev series) against the S_x
-    eigenbasis route that the alpha block keeps."""
+    eigenbasis route."""
 
     ANGLES = (0.3, math.pi / 2, -math.pi / 2, math.pi, 7.1, -12.3)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 300, 1001, 4000])
     def test_matches_eigenbasis_route(self, n, rng):
+        # random states have both reversal parities, so the oracle needs both
+        # sectors
         state = random_state(n, rng)
-        reference = dicke.x_rotation_block(state)(np.array(self.ANGLES))
+        reference = eigenbasis_rotation(state, self.ANGLES)
         for angle, ref in zip(self.ANGLES, reference):
             out = apply_rotation(state, PulseSpec("x", angle))
             assert np.max(np.abs(out.amplitudes - ref)) <= 1e-13, angle
@@ -203,22 +215,30 @@ class TestChebyshevRotation:
 
 class TestSxEigensystem:
     """The S_x eigensystem folded by reversal parity into two half-size
-    tridiagonals."""
+    tridiagonals, one per sector."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 1000, 1001])
     def test_eigenpairs_and_orthogonality(self, n):
-        m, u = dicke._sx_eigensystem(n)
-        np.testing.assert_array_equal(m, np.arange(n + 1) - 0.5 * n)
+        d, h = n + 1, (n + 1) // 2
+        full = np.arange(d) - 0.5 * n
         off = 0.5 * dicke._ladder_strengths(n)[1:, None]
-        tu = np.zeros_like(u)
-        tu[:-1] += off * u[1:]
-        tu[1:] += off * u[:-1]
-        assert np.linalg.norm(tu - u * m, axis=0).max() <= 1e-12 * n
-        assert np.abs(u.T @ u - np.eye(n + 1)).max() <= 1e-13
-        # parities alternate down the spectrum, the largest m even
-        parity = np.where((n - np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
-        np.testing.assert_allclose(u[::-1], u * parity, atol=1e-15)
-        assert not u.flags.writeable
+        for parity in (1, -1):
+            m, x = dicke._sx_eigensystem(n, parity)
+            # the largest m is even and parities alternate down the spectrum
+            np.testing.assert_array_equal(m, full[(d - 1) % 2 if parity > 0 else d % 2::2])
+            assert x.shape == (len(m), len(m))
+            assert np.abs(x.T @ x - np.eye(len(m))).max() <= 1e-13
+            # each column unfolds to a unit S_x eigenvector of the sector's parity
+            u = np.zeros((d, len(m)))
+            u[:len(m)] = x
+            u[:h] *= math.sqrt(0.5)
+            u[d - h:] = parity * u[h - 1::-1]
+            tu = np.zeros_like(u)
+            tu[:-1] += off * u[1:]
+            tu[1:] += off * u[:-1]
+            assert np.linalg.norm(tu - u * m, axis=0).max() <= 1e-12 * n
+            assert np.abs(np.linalg.norm(u, axis=0) - 1.0).max() <= 1e-13
+            assert not x.flags.writeable and not m.flags.writeable
 
     def test_size_limit_rejects_before_allocating(self, monkeypatch):
         def never(*args, **kwargs):
@@ -228,11 +248,19 @@ class TestSxEigensystem:
         monkeypatch.setattr(dicke.np, "zeros", never)
         monkeypatch.setattr(dicke.np.linalg, "eigh", never)
         limit = dicke._EIGENSYSTEM_MAX_BYTES
-        # 8 (d^2 + 2 (4096^2 + 4096^2)) bytes at N = 8191, d = 8192, is the limit
-        assert limit == 8 * (8192**2 + 4 * 4096**2)
-        for n in (8192, 10**6, 10**9):
+        # a sector's matrix and eigenvectors, 16 s^2 bytes, reach the limit at
+        # s = 8192: N = 16383 for the even sector, s = ceil((N+1)/2)
+        assert limit == 16 * 8192**2
+        for n in (16384, 10**6, 10**9):
             with pytest.raises(ResourceLimitError, match=f"n_atoms = {n} .* {limit} B"):
-                dicke._sx_eigensystem(n)
+                dicke._sx_eigensystem(n, 1)
+        with pytest.raises(ResourceLimitError, match=f"n_atoms = 16386 .* {limit} B"):
+            dicke._sx_eigensystem(16386, -1)
+        # the full eigenbasis adds the (N+1)^2 matrix: 8 (d^2 + 2 (4096^2 +
+        # 4096^2)) bytes at N = 8191 is the limit
+        for n in (8192, 10**6):
+            with pytest.raises(ResourceLimitError, match=f"n_atoms = {n} .* {limit} B"):
+                dicke._sx_eigenbasis(n)
 
 
 class TestBinomials:

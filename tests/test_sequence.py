@@ -256,13 +256,29 @@ class TestPrePhaseBlock:
     def test_rows_match_pre_phase_state(self):
         h = math.pi / 181
         alphas = [0.0, 0.37, -1.2, math.pi - h]
-        for n in (2, 3, 60, 1001):
+        for n in (2, 3, 60, 1000, 1001):
             for tt in (0.0, 0.013):
-                prepared = prepared_state(SequenceConfig(n_atoms=n, tau=0.02))
-                rows = pre_phase_block(prepared, tt)(alphas)
+                cfg = SequenceConfig(n_atoms=n, tau=0.02, tau_tilde=tt)
+                rows = pre_phase_block(cfg)(alphas)
                 for alpha, row in zip(alphas, rows):
-                    ref = pre_phase_state(prepared, alpha, tt).amplitudes
+                    ref = pre_phase_state(prepared_state(cfg), alpha, tt).amplitudes
                     assert np.max(np.abs(row - ref)) <= 1e-13, (n, tt, alpha)
+
+    def test_joint_search_builds_the_even_sector_only(self, monkeypatch):
+        built = []
+        sector = dicke._sx_eigensystem
+
+        def recorded(n, parity):
+            built.append((n, parity))
+            return sector(n, parity)
+
+        def never(n):
+            raise AssertionError("the alpha search must not assemble the full eigenbasis")
+
+        monkeypatch.setattr(dicke, "_sx_eigensystem", recorded)
+        monkeypatch.setattr(dicke, "_sx_eigenbasis", never)
+        optimize.optimize_alpha_beta(SequenceConfig(n_atoms=61, tau=0.02, tau_tilde=0.01))
+        assert built == [(61, 1)]
 
 
 class TestRotationCount:

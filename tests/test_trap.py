@@ -125,6 +125,12 @@ class TestDeriveTrap:
         with pytest.raises(ValueError):
             derive_trap(AtomTrapConfig(), "parabolic")
 
+    def test_unrepresentable_scales_name_their_field(self):
+        # omega_z^2 overflows, or underflows to a zero divisor, in r_z
+        for nu in (1e300, 1e-300):
+            with pytest.raises(ValueError, match="r_z .* omega_z = "):
+                derive_trap(AtomTrapConfig(omega_z=2.0 * math.pi * nu))
+
 
 class TestChiOfT:
     def test_full_overlap(self):
@@ -324,6 +330,11 @@ class TestTauTilde:
 
 
 class TestTauClosedForm:
+    def test_overflow_is_value_error(self):
+        # gamma^2 overflows at gamma = 1e300
+        with pytest.raises(ValueError, match="tau_closed_form .* omega_x = "):
+            tau_closed_form(AtomTrapConfig().with_aspect_ratio(1e300))
+
     def test_atom_number_scaling(self):
         cfg = AtomTrapConfig(n_atoms=500)
         cfg8 = AtomTrapConfig(n_atoms=4000)
