@@ -43,8 +43,10 @@ from .trap import (
     RB87_SCATTERING_LENGTH,
     STANDARD_GRAVITY,
     AtomTrapConfig,
+    check_ranges,
     chi_of_t,
     derive_trap,
+    gravity_phase,
     half_integer,
     tau_accumulated,
     tau_closed_form,
@@ -302,8 +304,7 @@ def _trap_from_params(params: dict) -> AtomTrapConfig:
             k0=params["k0_inv_m"],
             oscillations=params["oscillations"],
         )
-        derive_trap(trap, params["model"])  # its scales must be representable
-        tau_closed_form(trap)
+        check_ranges(trap, params["model"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return trap
@@ -314,8 +315,7 @@ def _swept_trap(base: AtomTrapConfig, sweep: str, value: float, model: str) -> A
     whose trap scales leave the floating-point range is a usage error."""
     try:
         cfg = base.with_aspect_ratio(value) if sweep == "gamma" else base.with_omega_z(value)
-        derive_trap(cfg, model)
-        tau_closed_form(cfg)
+        check_ranges(cfg, model)
     except ValueError as exc:
         raise UsageError(f"sweep_values: {exc}") from exc
     return cfg
@@ -323,9 +323,14 @@ def _swept_trap(base: AtomTrapConfig, sweep: str, value: float, model: str) -> A
 
 def _sequence_from_params(params: dict) -> SequenceConfig:
     if params.get("from_trap"):
+        trap = _trap_from_params(params)
+        try:
+            theta = gravity_phase(trap)  # before any quadrature
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         return sequence_from_trap(
-            _trap_from_params(params), model=params["model"],
-            alpha=params["alpha_rad"], beta=params["beta_rad"],
+            trap, model=params["model"],
+            alpha=params["alpha_rad"], beta=params["beta_rad"], theta=theta,
         )
     return SequenceConfig(
         n_atoms=params["n_atoms"],

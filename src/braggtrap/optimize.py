@@ -6,8 +6,12 @@ For a given alpha, one moment pass on the state before the phase
 principal axis of the twisted state's y-z second moments.  Only the joint
 optimum needs a search, and only over alpha: a deterministic grid with
 golden-section refinement, so identical inputs give identical outputs.  The
-search evaluates its alphas in blocks (``sequence.pre_phase_block``,
-``dicke.block_moments``) and reports the winner from the per-point pass.
+search evaluates its alphas in blocks (``sequence.pre_phase_block``) and
+ranks each block from its moment arrays (``dicke.block_moments``): G^2
+goes through the elementwise
+``sequence.beta_optimum`` that ``best_beta`` uses, so every row's value is
+the per-point one to the bit, and beta's atan is taken only for the final
+candidates.  The winner is reported from the per-point pass.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .sequence import (
     GainResult,
     SequenceConfig,
     best_beta,
+    beta_optimum,
     gain_from_moments,
     pre_phase_block,
     pre_phase_state,
@@ -154,8 +159,9 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
     beta is exact for every alpha, so only alpha is searched: a grid over
     [0, pi), then golden-section refinement from the five best cells.  Ties
     break toward smallest |alpha|, then |beta|.  Every alpha is evaluated in
-    blocks of rows of one batched x rotation; the winner is reported from
-    the per-point pass, so the result equals
+    blocks of rows of one batched x rotation, ranked from the block's
+    moment arrays; the winner is reported from the per-point pass, so the
+    result equals
     ``optimize_beta(replace(config, alpha=result.alpha))``.
     """
     spec = spec or OptimizationSpec()
@@ -164,11 +170,11 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1)))
 
     def profiles(alphas: np.ndarray) -> np.ndarray:
-        """(G^2, beta) at each alpha, as the columns of a (2, K) array."""
+        """(G^2, tan beta) at each alpha, as the rows of a (2, K) array."""
         out = np.empty((2, len(alphas)))
         for start in range(0, len(alphas), rows):
             moments = block_moments(n, chis(alphas[start:start + rows]))
-            out[:, start:start + len(moments)] = np.transpose([best_beta(m, n) for m in moments])
+            out[:, start:start + len(moments.sx)] = beta_optimum(moments, n)
         return out
 
     alphas = np.linspace(0.0, math.pi, spec.alpha_grid, endpoint=False)
@@ -181,7 +187,8 @@ def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = 
     refined = _golden_max(lambda pts: profiles(pts)[0].tolist(),
                           [(alphas[i] - h, alphas[i] + h) for i in ranked[:5]],
                           spec.refine_tolerance)
-    candidates = list(zip(refined, *profiles(refined).tolist()))
+    candidates = [(alpha, g2, math.atan(slope))
+                  for alpha, g2, slope in zip(refined, *profiles(refined).tolist())]
     best = max(c[1] for c in candidates)
     keep = [c for c in candidates if c[1] >= best - _FLAT_EPS]
     alpha = min(keep, key=lambda c: (abs(c[0]), abs(c[2])))[0]

@@ -13,7 +13,8 @@ limit 1/sqrt(N) follows from linear error propagation on <S_z>.  The joint
 alpha search gets chi for a block of alphas at once (``pre_phase_block``):
 the prepared state is even under the index reversal m -> -m, so its
 rotations run on the even sector of the S_x eigenbasis, at half the size
-(N <= 16383 within the 1 GiB eigensystem limit).
+(N <= 16383 within the 1 GiB eigensystem limit).  The search ranks each
+block by ``beta_optimum``, the elementwise core of ``best_beta``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "pre_phase_block",
     "output_moments",
     "best_beta",
+    "beta_optimum",
     "gain_from_moments",
     "gain_at_zero",
     "sensitivity",
@@ -187,18 +189,33 @@ def output_moments(config: SequenceConfig) -> tuple[float, float, float]:
     return sx, sz, var + sz * sz
 
 
-def best_beta(mom: SpinMoments, n_atoms: int) -> tuple[float, float]:
-    """(G^2, beta) at the exact theta = 0 optimum, from the moments of chi.
+def beta_optimum(mom: SpinMoments, n_atoms: int) -> tuple:
+    """(G^2, tan beta) at the exact theta = 0 optimum, from the moments of
+    chi, elementwise: the fields of ``mom`` are floats, or arrays with one
+    entry per row of a block.
 
     There v = (0, -cos beta, sin beta), so with t = tan(beta)
     G^2 = <S_x>^2 / (N (C_yy - 2 t C_yz + t^2 C_zz)), largest at t = C_yz / C_zz.
+    Raises DegenerateStateError when C_zz or that smallest variance is not
+    positive for any entry.
     """
-    cov = mom.covariance()
-    c_yy, c_yz, c_zz = float(cov[1, 1]), float(cov[1, 2]), float(cov[2, 2])
-    denom = c_yy - c_yz * c_yz / c_zz if c_zz > 0.0 else 0.0
-    if denom <= 0.0:
-        raise DegenerateStateError(f"smallest output S_z variance {denom:.3e} is not positive")
-    return mom.sx**2 / (n_atoms * denom), math.atan(c_yz / c_zz)
+    c_zz = mom.sz2 - mom.sz * mom.sz
+    if np.any(c_zz <= 0.0):
+        raise DegenerateStateError(
+            f"output S_z variance {np.min(c_zz):.3e} at beta = pi/2 is not positive")
+    c_yz = 0.5 * mom.syz - mom.sy * mom.sz
+    denom = (mom.sy2 - mom.sy * mom.sy) - c_yz * c_yz / c_zz
+    if np.any(denom <= 0.0):
+        raise DegenerateStateError(
+            f"smallest output S_z variance {np.min(denom):.3e} is not positive")
+    return mom.sx * mom.sx / (n_atoms * denom), c_yz / c_zz
+
+
+def best_beta(mom: SpinMoments, n_atoms: int) -> tuple[float, float]:
+    """(G^2, beta) at the exact theta = 0 optimum, from the moments of chi
+    (``beta_optimum``)."""
+    g2, slope = beta_optimum(mom, n_atoms)
+    return g2, math.atan(slope)
 
 
 def gain_from_moments(config: SequenceConfig, mom: SpinMoments) -> GainResult:

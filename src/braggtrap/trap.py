@@ -39,6 +39,7 @@ __all__ = [
     "tau_tilde",
     "tau_closed_form",
     "gravity_phase",
+    "check_ranges",
     "half_integer",
 ]
 
@@ -216,17 +217,46 @@ def derive_trap(config: AtomTrapConfig, model: str = "gaussian") -> TrapDerived:
         omega_0=omega_0,
         b=b,
         chi_max=chi_max,
-        z_amp=_representable("z_amp", config, ("k0", "atom_mass", "omega_z"),
-                             lambda: hbar * config.k0 / (m_at * config.omega_z)),
+        z_amp=_trajectory(config, False)[1],
         z_sag=_representable("z_sag", config, ("gravity", "omega_z"),
                              lambda: -config.gravity / config.omega_z**2),
     )
 
 
+# The inputs of the preparation (False) and interrogation (True) trajectory
+_TRAJECTORY_FIELDS = {False: ("k0", "atom_mass", "omega_z"),
+                      True: ("k0", "atom_mass", "omega_z_tilde")}
+
+
 def _trajectory(config: AtomTrapConfig, interrogation: bool) -> tuple[float, float]:
-    """(omega, hbar k0 / (M omega)) of the preparation or interrogation trap."""
-    omega = config.omega_z_tilde if interrogation else config.omega_z
-    return omega, hbar * config.k0 / (config.atom_mass * omega)
+    """(omega, hbar k0 / (M omega)) of the preparation or interrogation trap;
+    raises ValueError when the amplitude leaves the floating-point range."""
+    fields = _TRAJECTORY_FIELDS[interrogation]
+    omega = getattr(config, fields[2])
+    return omega, _representable("z_amp", config, fields,
+                                 lambda: hbar * config.k0 / (config.atom_mass * omega))
+
+
+def _overlap_depth(derived: TrapDerived, config: AtomTrapConfig,
+                   interrogation: bool) -> tuple[float, float]:
+    """(omega, a^2) of the preparation or interrogation trajectory, with
+    a = amp / sigma_z the mode separation in units of the width; raises
+    ValueError when a^2 leaves the floating-point range."""
+    omega, amp = _trajectory(config, interrogation)
+    return omega, _representable("a^2", config, _TRAJECTORY_FIELDS[interrogation],
+                                 lambda: (amp / derived.sigma_z) ** 2)
+
+
+def check_ranges(config: AtomTrapConfig, model: str = "gaussian") -> None:
+    """Raise ValueError, naming the inputs, when a scale that every trap run
+    derives from config leaves the floating-point range: the condensate
+    scales of ``derive_trap``, the overlap depth a^2 of both trajectories
+    and the separated-mode estimate.  Runs no quadrature.  The gravity phase
+    is checked where a run uses it (``gravity_phase``)."""
+    derived = derive_trap(config, model)
+    for interrogation in (False, True):
+        _overlap_depth(derived, config, interrogation)
+    tau_closed_form(config)
 
 
 def chi_terms(
@@ -322,9 +352,8 @@ def _integrate_chi(
     """
     if upto == 0.0:
         return 0.0
-    omega, amp = _trajectory(config, interrogation)
+    omega, a2 = _overlap_depth(derived, config, interrogation)
     half = math.pi / omega
-    a2 = (amp / derived.sigma_z) ** 2
     chi_max = derived.chi_max
     n_full, remainder = divmod(upto, half)
     if half - remainder <= 4.0 * math.ulp(upto):
@@ -392,6 +421,7 @@ def gravity_phase(config: AtomTrapConfig) -> float:
     theta = 2 k0 g (1/omega_z_tilde^2 - 1/omega_z^2); zero if the trap is
     unchanged, sign flipping as omega_z_tilde crosses omega_z.
     """
-    return 2.0 * config.k0 * config.gravity * (
-        1.0 / config.omega_z_tilde**2 - 1.0 / config.omega_z**2
-    )
+    fields = ("k0", "gravity", "omega_z", "omega_z_tilde")
+    return _representable("gravity_phase", config, fields, lambda: (
+        2.0 * config.k0 * config.gravity * (
+            1.0 / config.omega_z_tilde**2 - 1.0 / config.omega_z**2)))

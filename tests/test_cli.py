@@ -139,6 +139,47 @@ class TestExitCodes:
             assert err.startswith("braggtrap: error:") and key in err, err
             assert "Traceback" not in err
 
+    def test_unrepresentable_interrogation_is_usage_error(self, capsys):
+        # the interrogation amplitude divides by an underflowed M omega_z_tilde,
+        # the gravity phase squares omega_z_tilde, and a^2 squares the
+        # separation over the width
+        for args, key in (
+            (["--omega-z-tilde-hz", "1e-300"], "omega_z_tilde"),
+            (["--omega-z-tilde-hz", "1e300"], "omega_z_tilde"),
+            (["--k0-inv-m", "1e300"], "k0"),
+        ):
+            code, out, err = run_cli(["gain", "--from-trap", "--n-atoms", "10", *args], capsys)
+            assert code == 1, args
+            assert out == ""
+            assert err.startswith("braggtrap: error:") and key in err, err
+
+    def test_tau_runs_without_the_gravity_phase(self, capsys):
+        # omega_z_tilde^2 overflows the gravity phase, which tau never uses;
+        # its interrogation scales stay finite
+        code, out, err = run_cli(["tau", "--omega-z-tilde-hz", "1e200", "--sweep", "gamma",
+                                  "--sweep-values", "1"], capsys)
+        assert code == 0, err
+        assert out.count("\n") >= 1 and "nan" not in out
+
+    def test_huge_husimi_grid_is_usage_error(self, capsys, monkeypatch):
+        from braggtrap import dicke
+
+        def small(allocate):
+            def checked(shape, *args, **kwargs):
+                if np.prod(shape, dtype=float) > 1e6:
+                    raise AssertionError("an over-limit Husimi grid must not start")
+                return allocate(shape, *args, **kwargs)
+            return checked
+
+        # the sequence before the grid allocates small arrays only
+        monkeypatch.setattr(dicke.np, "empty", small(np.empty))
+        monkeypatch.setattr(dicke.np, "zeros", small(np.zeros))
+        code, out, err = run_cli(["husimi", "--n-atoms", "4", "--n-polar", "100000",
+                                  "--n-azimuth", "100000"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("braggtrap: error:") and "Husimi grid" in err, err
+
     def test_huge_eigensystem_is_usage_error(self, capsys, monkeypatch):
         from braggtrap import dicke
 
@@ -289,6 +330,12 @@ class TestDeterminism:
         ("scan_trap_scan.csv", ["scan-trap", "--alpha-policy", "scan", "--n-atoms", "200",
                                 "--sweep", "gamma", "--sweep-values", "0.5,1.5",
                                 "--m-values", "0.5,1"]),
+        # N odd keeps the sector's eigenbasis; N = 2 mod 4 splits it with no
+        # zero mode
+        ("scan_odd.json", ["optimize", "--from-trap", "--alpha-policy", "scan",
+                           "--n-atoms", "201"]),
+        ("scan_2mod4.json", ["optimize", "--from-trap", "--alpha-policy", "scan",
+                             "--n-atoms", "202"]),
     ]
 
     def test_data_files_independent_of_blas_threads(self, tmp_path):

@@ -8,6 +8,7 @@ from braggtrap.closed_form import oat_moments_closed
 from braggtrap.dicke import (
     DickeState,
     PulseSpec,
+    SpinMoments,
     SpinOp,
     apply_oat,
     apply_rotation,
@@ -217,7 +218,7 @@ class TestSxEigensystem:
     """The S_x eigensystem folded by reversal parity into two half-size
     tridiagonals, one per sector."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 1000, 1001])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 17, 1000, 1001, 1002])
     def test_eigenpairs_and_orthogonality(self, n):
         d, h = n + 1, (n + 1) // 2
         full = np.arange(d) - 0.5 * n
@@ -240,6 +241,23 @@ class TestSxEigensystem:
             assert np.abs(np.linalg.norm(u, axis=0) - 1.0).max() <= 1e-13
             assert not x.flags.writeable and not m.flags.writeable
 
+    @pytest.mark.parametrize("n", [5, 6, 8, 17, 40])
+    def test_at_most_one_eigh_per_n(self, monkeypatch, n):
+        # even N: both sectors from an SVD of their sublattice block; odd N:
+        # the odd sector is -D T D of the even one, D = diag((-1)^k)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dicke.np.linalg, "eigh", counted)
+        dicke._sx_eigensystem.cache_clear()
+        d = dicke.wigner_d(n, 0.3)
+        assert np.abs(d @ d.T - np.eye(n + 1)).max() <= 1e-13
+        assert calls == [((n + 2) // 2,) * 2] * (n % 2)
+
     def test_size_limit_rejects_before_allocating(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("an over-limit eigensystem must not start")
@@ -247,6 +265,7 @@ class TestSxEigensystem:
         monkeypatch.setattr(dicke.np, "empty", never)
         monkeypatch.setattr(dicke.np, "zeros", never)
         monkeypatch.setattr(dicke.np.linalg, "eigh", never)
+        monkeypatch.setattr(dicke.np.linalg, "svd", never)
         limit = dicke._EIGENSYSTEM_MAX_BYTES
         # a sector's matrix and eigenvectors, 16 s^2 bytes, reach the limit at
         # s = 8192: N = 16383 for the even sector, s = ceil((N+1)/2)
@@ -327,10 +346,11 @@ class TestSpinMoments:
                 assert expectation(state, "sm") == np.conj(expectation(state, "sp"))
             block = np.array([state.amplitudes for state in states])
             norms = np.add.reduce(np.abs(block) ** 2, axis=-1)
-            rows = [spin_moments(state) for state in states] + block_moments(n, block)
-            for mom, norm in zip(rows, np.tile(norms, 2)):
+            rows = [spin_moments(state) for state in states] + [block_moments(n, block)]
+            for mom, norm in zip(rows, [*norms, norms]):
                 total = mom.sx2 + mom.sy2 + mom.sz2
-                assert abs(total - s * (s + 1.0) * norm) <= 4.0 * np.finfo(float).eps * s * s
+                assert np.all(abs(total - s * (s + 1.0) * norm)
+                              <= 4.0 * np.finfo(float).eps * s * s)
 
     def test_anticommutator_matches_dense(self, rng):
         for n in (1, 2, 17):
@@ -358,7 +378,9 @@ class TestBlockMoments:
     def test_rows_equal_spin_moments(self, rng):
         for n in (1, 2, 17, 300, 1001):
             block = np.array([random_state(n, rng).amplitudes for _ in range(4)])
-            rows = block_moments(n, block)
+            fields = block_moments(n, block)
+            assert all(field.shape == (4,) for field in fields)
+            rows = [SpinMoments(*row) for row in zip(*(field.tolist() for field in fields))]
             assert rows == [spin_moments(DickeState(n, amps)) for amps in block]
 
     def test_every_row_checked(self, rng):
@@ -475,6 +497,20 @@ class TestHusimi:
     def test_values_nonnegative(self, rng):
         grid = husimi_grid(random_state(25, rng), 17, 32)
         assert np.all(grid.values >= 0.0)
+
+    def test_size_limit_rejects_before_allocating(self, monkeypatch, css_plus_x):
+        def never(*args, **kwargs):
+            raise AssertionError("an over-limit Husimi grid must not start")
+
+        state = css_plus_x(4)
+        monkeypatch.setattr(dicke.np, "empty", never)
+        monkeypatch.setattr(dicke.np, "zeros", never)
+        limit = dicke._EIGENSYSTEM_MAX_BYTES
+        # 8 B per value: 2^27 values alone reach the limit
+        for n_polar, n_azimuth in ((100000, 100000), (16384, 8192), (2, 10**9)):
+            with pytest.raises(ResourceLimitError,
+                               match=f"{n_polar} x {n_azimuth} Husimi grid .* {limit} B"):
+                husimi_grid(state, n_polar, n_azimuth)
 
 
 class TestOperatorMatrix:

@@ -138,6 +138,34 @@ class TestJointSearch:
             res = optimize_alpha_beta(seq, SMALL_SPEC)
             assert res == optimize_beta(replace(seq, alpha=res.alpha))
 
+    def test_block_g2_is_best_beta_of_each_row(self, monkeypatch):
+        # the search ranks blocks from their moment arrays; each row's G^2
+        # must be the per-point best_beta's to the bit
+        from braggtrap.dicke import DickeState, spin_moments
+        from braggtrap.sequence import best_beta
+
+        blocks, values = [], []
+        block_moments, beta_optimum = optimize.block_moments, optimize.beta_optimum
+
+        def recorded_moments(n, block):
+            blocks.append(np.array(block))
+            return block_moments(n, block)
+
+        def recorded_optimum(mom, n):
+            values.append(beta_optimum(mom, n))
+            return values[-1]
+
+        monkeypatch.setattr(optimize, "block_moments", recorded_moments)
+        monkeypatch.setattr(optimize, "beta_optimum", recorded_optimum)
+        for seq in self.CONFIGS + (SequenceConfig(n_atoms=62, tau=0.03, tau_tilde=0.01),):
+            blocks.clear()
+            values.clear()
+            optimize_alpha_beta(seq, SMALL_SPEC)
+            assert len(blocks) == len(values) > 1
+            for block, (g2, _) in zip(blocks, values):
+                assert g2.tolist() == [best_beta(spin_moments(DickeState(seq.n_atoms, row)),
+                                                 seq.n_atoms)[0] for row in block]
+
     def test_blocked_grid_matches_one_block(self, monkeypatch):
         seq, spec = self.CONFIGS[0], OptimizationSpec()
         row_bytes = 16 * (seq.n_atoms + 1)

@@ -256,7 +256,9 @@ class TestPrePhaseBlock:
     def test_rows_match_pre_phase_state(self):
         h = math.pi / 181
         alphas = [0.0, 0.37, -1.2, math.pi - h]
-        for n in (2, 3, 60, 1000, 1001):
+        # N even builds the sector from an SVD of its sublattice block (a
+        # zero mode when N = 0 mod 4); N odd from eigh
+        for n in (2, 3, 4, 60, 1000, 1001, 1002):
             for tt in (0.0, 0.013):
                 cfg = SequenceConfig(n_atoms=n, tau=0.02, tau_tilde=tt)
                 rows = pre_phase_block(cfg)(alphas)

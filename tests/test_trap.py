@@ -12,6 +12,7 @@ from braggtrap.errors import QuadratureError
 from braggtrap.trap import (
     GAUSSIAN_WIDTH_RATIO,
     AtomTrapConfig,
+    check_ranges,
     chi_of_t,
     chi_terms,
     derive_trap,
@@ -130,6 +131,26 @@ class TestDeriveTrap:
         for nu in (1e300, 1e-300):
             with pytest.raises(ValueError, match="r_z .* omega_z = "):
                 derive_trap(AtomTrapConfig(omega_z=2.0 * math.pi * nu))
+
+    def test_unrepresentable_interrogation_names_its_field(self):
+        # M omega_z_tilde underflows to a zero divisor of the amplitude,
+        # omega_z_tilde^2 overflows in the gravity phase, and a^2 overflows
+        tiny = AtomTrapConfig(omega_z_tilde=TWO_PI * 1e-300)
+        huge = AtomTrapConfig(omega_z_tilde=TWO_PI * 1e300)
+        far = AtomTrapConfig(k0=1e300)
+        for call, match in (
+            (lambda: tau_tilde(tiny), "z_amp .* omega_z_tilde = "),
+            (lambda: check_ranges(tiny), "z_amp .* omega_z_tilde = "),
+            (lambda: gravity_phase(huge), "gravity_phase .* omega_z_tilde = "),
+            (lambda: tau_tilde(far), r"a\^2 .* k0 = 1e\+300"),
+            (lambda: check_ranges(far, "thomas_fermi"), r"a\^2 .* k0 = 1e\+300"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+        check_ranges(AtomTrapConfig(omega_z_tilde=TWO_PI * 50.0))
+        # only runs that use the gravity phase reject it; the trap scales
+        # themselves stay in range
+        check_ranges(huge)
 
 
 class TestChiOfT:
