@@ -6,9 +6,10 @@ Hz (nu) and converted to angular frequencies internally (factor 2 pi).
 Outputs are machine-readable data only: CSV for curves and scans, JSON for
 scalar results; diagnostics go to stderr.  Identical resolved parameters
 produce byte-identical data files, whatever the BLAS thread count; only
-``--alpha-policy scan`` calls BLAS, and its files matched under 1 and 2
-threads in every case tried.  Each file written to disk is accompanied by
-a ``<name>.manifest.json`` recording the resolved run.
+``--alpha-policy scan`` calls BLAS, to sample the moments its alpha search
+interpolates, and it picks alpha from comparisons only, so BLAS rounding
+does not reach the reported point.  Each file written to disk is
+accompanied by a ``<name>.manifest.json`` recording the resolved run.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -134,8 +136,6 @@ KEYS = {
     "theta_rad": (float, 0.0, "rad", "encoded interferometer phase theta", _identity),
     "from_trap": (bool, False, "flag", "derive tau/tau_tilde/theta from the trap parameters", _identity),
     "alpha_policy": (str, "fixed", "enum", "alpha selection: fixed | alpha-h | scan", _choice("fixed", "alpha-h", "scan")),
-    "alpha_grid": (int, 181, "dimensionless", "coarse grid size for alpha scans (8 to 10^6)", _positive),
-    "refine_tolerance_rad": (float, 1e-4, "rad", "optimizer refinement tolerance", _positive),
     "tau_min": (float, 1e-4, "rad", "squeeze sweep: smallest tau", _positive),
     "tau_max": (float, 0.03, "rad", "squeeze sweep: largest tau", _positive),
     "tau_steps": (int, 200, "dimensionless", "squeeze sweep: number of points", _positive),
@@ -157,7 +157,7 @@ _TRAP_KEYS = (
     "gravity_m_s2", "oscillations", "model",
 )
 _SEQ_KEYS = ("tau", "tau_tilde", "alpha_rad", "beta_rad", "theta_rad", "from_trap")
-_OPT_KEYS = ("alpha_policy", "alpha_grid", "refine_tolerance_rad")
+_OPT_KEYS = ("alpha_policy",)
 
 SUBCOMMANDS = {
     "squeeze": _TRAP_KEYS[:1] + ("tau_min", "tau_max", "tau_steps", "output"),
@@ -342,15 +342,7 @@ def _sequence_from_params(params: dict) -> SequenceConfig:
 
 def _spec_from_params(params: dict) -> OptimizationSpec:
     policy = {"fixed": "fixed", "alpha-h": "alpha_H", "scan": "scan"}[params["alpha_policy"]]
-    try:
-        return OptimizationSpec(
-            alpha_mode=policy,
-            alpha_value=params.get("alpha_rad", 0.0),
-            alpha_grid=params["alpha_grid"],
-            refine_tolerance=params["refine_tolerance_rad"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return OptimizationSpec(alpha_mode=policy, alpha_value=params.get("alpha_rad", 0.0))
 
 
 def _fmt(value) -> str:
@@ -361,24 +353,25 @@ def _fmt(value) -> str:
     return f"{float(value):.11e}"  # 12 significant digits, locale-independent
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], rows) -> Iterator[str]:
+    """The CSV lines, each formatted as it is written."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(cell) for cell in row) + "\n"
 
 
-def _gain_json(result, extra: dict) -> str:
+def _gain_json(result, extra: dict) -> list[str]:
     payload = dict(extra)
     payload.update(dataclasses.asdict(result))
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
-def _emit(text: str, path: str, manifest: dict) -> list[str]:
+def _emit(text: Iterable[str], path: str, manifest: dict) -> list[str]:
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return []
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.writelines(text)
     manifest_path = path + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8", newline="") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -496,8 +489,9 @@ def _run_fringe(params: dict, manifest: dict) -> list[str]:
 def _run_husimi(params: dict, manifest: dict) -> list[str]:
     seq = _sequence_from_params(params)
     grid = husimi_grid(run_sequence(seq), params["n_polar"], params["n_azimuth"])
-    rows = [(float(grid.polar[i]), float(grid.azimuth[j]), float(grid.values[i, j]))
-            for i in range(len(grid.polar)) for j in range(len(grid.azimuth))]
+    azimuth = grid.azimuth.tolist()
+    rows = ((polar, phi, q) for polar, values in zip(grid.polar.tolist(), grid.values)
+            for phi, q in zip(azimuth, values.tolist()))
     return _emit(_csv_text(["polar", "azimuth", "q_value"], rows),
                  params["output"], manifest)
 

@@ -11,7 +11,7 @@ phases) goes by the Chebyshev series of exp(-i a S_x) in the tridiagonal
 S_x / S (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): no
 eigensystem, O(N) memory, and no BLAS call (elementwise numpy and
 pocketfft), so the bits do not depend on the BLAS thread count.  One state
-rotated by many angles (the alpha block of the joint search) and the test
+rotated by many angles (the alpha samples of the joint search) and the test
 helper ``wigner_d`` use the eigendecomposition of the real symmetric
 tridiagonal S_x matrix, whose spectrum is exactly m = -S ... +S and whose
 eigenvector matrix is orthogonal (naive column recurrences for the Wigner

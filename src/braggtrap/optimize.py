@@ -4,26 +4,28 @@ For a given alpha, one moment pass on the state before the phase
 (``sequence.pre_phase_state``) gives the exact optimal beta
 (``sequence.best_beta``) and the reported gain.  alpha_H is the exact
 principal axis of the twisted state's y-z second moments.  Only the joint
-optimum needs a search, and only over alpha: a deterministic grid with
-golden-section refinement, so identical inputs give identical outputs.  The
-search evaluates its alphas in blocks (``sequence.pre_phase_block``) and
-ranks each block from its moment arrays (``dicke.block_moments``): G^2
-goes through the elementwise
-``sequence.beta_optimum`` that ``best_beta`` uses, so every row's value is
-the per-point one to the bit, and beta's atan is taken only for the final
-candidates.  The winner is reported from the per-point pass.
+optimum needs a search, and only over alpha.  Every moment of chi is a
+trigonometric polynomial of period pi in alpha (the rotation is the phase
+exp(-i alpha m) on the even S_x sector, which holds every second m), so
+equispaced samples determine it (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, ch. 3).  The search samples chi in
+blocks (``sequence.pre_phase_block``, ``dicke.block_moments``), doubles the
+sample count until the Fourier tail of the moments is negligible, and
+ranks the interpolant on ever finer grids through the elementwise
+``sequence.beta_optimum`` that ``best_beta`` uses.  alpha comes from
+comparisons only, so BLAS rounding in the samples cannot move it off a
+grid point.  The winner is reported from the per-point pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .closed_form import xi2_closed
-from .dicke import block_moments, spin_moments
+from .dicke import SpinMoments, block_moments, spin_moments
 from .sequence import (
     GainResult,
     SequenceConfig,
@@ -47,23 +49,26 @@ __all__ = [
     "scan_trap",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_EPS = 1e-12
-_MAX_REFINE_ITER = 200
-# Bytes of one complex (K, N+1) block of the joint alpha search.  K follows
-# from N, so memory does not grow with the alpha grid.  Blocks this small
+# Bytes of one complex (rows, N+1) block of alpha samples.  Blocks this small
 # keep the heap the allocator retains, and so the peak resident memory,
-# within a few MB of the per-point search at N = 1000.
+# within a few MB of the per-point search at N = 1000, however many samples
+# the search takes.
 _BLOCK_BYTES = 1 << 18
+# The sample count K starts here and doubles until every Fourier coefficient
+# from index K/3 on is below _TAIL of its scale (S for the means, S^2 for the
+# second moments).
+_FIRST_SAMPLES = 64
+_TAIL = 1e-13
+# alpha is refined on grids whose spacing shrinks 64-fold per level until
+# it is below this, in rad.
+_ALPHA_STEP = 1e-6
 _ALPHA_POLICIES = ("fixed", "alpha_H", "scan")
-# Largest alpha grid: the grid, its values and their lexsort take about 50 B
-# per cell, so the limit bounds them near 50 MB.
-_ALPHA_GRID_MAX = 10**6
 
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Alpha-selection policy and the resolution of the joint alpha search.
+    """Alpha-selection policy.
 
     alpha_mode: "fixed" (use alpha_value), "alpha_H" (linear-sequence
     optimum for the given tau), or "scan" (joint optimum with beta).  beta is
@@ -72,17 +77,10 @@ class OptimizationSpec:
 
     alpha_mode: str = "fixed"
     alpha_value: float = 0.0
-    alpha_grid: int = 181
-    refine_tolerance: float = 1e-4
 
     def __post_init__(self):
         if self.alpha_mode not in _ALPHA_POLICIES:
             raise ValueError(f"alpha_mode must be one of {_ALPHA_POLICIES}")
-        if not 8 <= self.alpha_grid <= _ALPHA_GRID_MAX:
-            raise ValueError(
-                f"alpha_grid must lie in [8, {_ALPHA_GRID_MAX}], got {self.alpha_grid}")
-        if not 0.0 < self.refine_tolerance <= 0.1:
-            raise ValueError("refine_tolerance must lie in (0, 0.1]")
 
 
 @dataclass(frozen=True)
@@ -105,41 +103,6 @@ class ScanRow:
     gain_linear: float
 
 
-def _golden_max(f: Callable[[list[float]], list[float]], brackets: list[tuple[float, float]],
-                tol: float) -> list[float]:
-    """Golden-section maximizers on each (lo, hi) bracket, in lockstep.
-
-    Each bracket takes exactly the steps of a scalar golden-section search
-    and stops once narrower than tol.  f maps a list of points to their
-    values, so one call evaluates the new points of all open brackets.
-    Returns the bracket midpoints.
-    """
-    state = [[a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)] for a, b in brackets]
-    values = f([x for s in state for x in s[2:]])
-    for s, fc, fd in zip(state, values[0::2], values[1::2]):
-        s += [fc, fd]  # each bracket is [a, b, c, d, f(c), f(d)]
-    for _ in range(_MAX_REFINE_ITER):
-        open_ = [s for s in state if s[1] - s[0] >= tol]
-        if not open_:
-            break
-        slots = []  # index in the bracket of the point to evaluate
-        for s in open_:
-            a, b, c, d, fc, fd = s
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                slots.append(2)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                slots.append(3)
-            s[:] = [a, b, c, d, fc, fd]
-        values = f([s[i] for s, i in zip(open_, slots)])
-        for s, i, value in zip(open_, slots, values):
-            s[i + 2] = value
-    return [0.5 * (s[0] + s[1]) for s in state]
-
-
 def optimize_beta(config: SequenceConfig) -> GainResult:
     """Maximize the theta = 0 gain over the final pulse angle beta.
 
@@ -153,45 +116,83 @@ def optimize_beta(config: SequenceConfig) -> GainResult:
     return replace(result, flat_landscape=flat)
 
 
-def optimize_alpha_beta(config: SequenceConfig, spec: OptimizationSpec | None = None) -> GainResult:
-    """Jointly maximize the gain over (alpha, beta).
+def _moment_series(config: SequenceConfig) -> np.ndarray:
+    """Fourier coefficients c_j, j < K/2, of the nine ``SpinMoments`` fields
+    of chi(alpha), as the rows of a (9, K/2) array: each field is
+    c_0 + 2 Re sum_j c_j exp(2 i j alpha).
 
-    beta is exact for every alpha, so only alpha is searched: a grid over
-    [0, pi), then golden-section refinement from the five best cells.  Ties
-    break toward smallest |alpha|, then |beta|.  Every alpha is evaluated in
-    blocks of rows of one batched x rotation, ranked from the block's
-    moment arrays; the winner is reported from the per-point pass, so the
-    result equals
-    ``optimize_beta(replace(config, alpha=result.alpha))``.
+    K equispaced samples over [0, pi) come from ``pre_phase_block``; K starts
+    at 64 and doubles, reusing the old samples as the even-indexed half, until
+    the tail from index K/3 on is below _TAIL of each field's scale.  The
+    even sector's m differ by at most N, so no field has an index above N/2
+    and the series is exact once K >= N + 2, where the doubling stops.
     """
-    spec = spec or OptimizationSpec()
     n = config.n_atoms
     chis = pre_phase_block(config)
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1)))
+    spin = 0.5 * n
+    scale = np.array([[spin]] * 3 + [[spin * spin]] * 6)
 
-    def profiles(alphas: np.ndarray) -> np.ndarray:
-        """(G^2, tan beta) at each alpha, as the rows of a (2, K) array."""
-        out = np.empty((2, len(alphas)))
+    def samples(alphas: np.ndarray) -> np.ndarray:
+        out = np.empty((9, len(alphas)))
         for start in range(0, len(alphas), rows):
-            moments = block_moments(n, chis(alphas[start:start + rows]))
-            out[:, start:start + len(moments.sx)] = beta_optimum(moments, n)
+            block = block_moments(n, chis(alphas[start:start + rows]))
+            out[:, start:start + len(block.sx)] = block
         return out
 
-    alphas = np.linspace(0.0, math.pi, spec.alpha_grid, endpoint=False)
-    vals = profiles(alphas)[0]
-    if vals.max() < _FLAT_EPS:
-        return optimize_beta(replace(config, alpha=0.0))
+    k = _FIRST_SAMPLES
+    fields = samples(math.pi / k * np.arange(k))
+    while True:
+        spectrum = np.fft.rfft(fields) / k
+        if k >= n + 2 or np.all(np.abs(spectrum[:, k // 3:]) < _TAIL * scale):
+            return spectrum[:, :k // 2]
+        doubled = np.empty((9, 2 * k))
+        doubled[:, 0::2] = fields
+        doubled[:, 1::2] = samples(math.pi / k * (np.arange(k) + 0.5))
+        fields, k = doubled, 2 * k
 
-    ranked = np.lexsort((np.abs(alphas), -vals))  # stable: ties keep grid order
-    h = alphas[1] - alphas[0]
-    refined = _golden_max(lambda pts: profiles(pts)[0].tolist(),
-                          [(alphas[i] - h, alphas[i] + h) for i in ranked[:5]],
-                          spec.refine_tolerance)
-    candidates = [(alpha, g2, math.atan(slope))
-                  for alpha, g2, slope in zip(refined, *profiles(refined).tolist())]
-    best = max(c[1] for c in candidates)
-    keep = [c for c in candidates if c[1] >= best - _FLAT_EPS]
-    alpha = min(keep, key=lambda c: (abs(c[0]), abs(c[2])))[0]
+
+def _moments_at(series: np.ndarray, alphas: np.ndarray) -> SpinMoments:
+    """The interpolated moments at each alpha, as arrays."""
+    weights = np.where(np.arange(series.shape[1]) == 0, 1.0, 2.0)
+    waves = np.exp(2j * np.multiply.outer(np.arange(series.shape[1]), alphas))
+    return SpinMoments(*((series * weights) @ waves).real)
+
+
+def _tie_break(alphas: np.ndarray, moments: SpinMoments, n_atoms: int) -> float:
+    """The alpha of largest G^2.  Ties, the values within a factor
+    1 - _FLAT_EPS of it (every value when it is below _FLAT_EPS, a flat
+    landscape), go to the smallest |alpha|, then the smallest |beta|.  The
+    factor is relative, so a tie costs at most 1e-12 of G^2 however small
+    G^2 is."""
+    g2, slope = beta_optimum(moments, n_atoms)
+    best = g2.max()
+    keep = np.flatnonzero((g2 >= best * (1.0 - _FLAT_EPS)) | (best < _FLAT_EPS))
+    pick = keep[np.lexsort((np.abs(slope[keep]), np.abs(alphas[keep])))[0]]
+    return float(alphas[pick])
+
+
+def optimize_alpha_beta(config: SequenceConfig) -> GainResult:
+    """Jointly maximize the gain over (alpha, beta).
+
+    beta is exact for every alpha, so only alpha is searched, on the
+    trigonometric interpolant of chi's moments (``_moment_series``): first
+    over 32 K points of [0, pi), then on 129-point grids around the winner,
+    each 64 times finer, until the spacing is below 1e-6 rad.  Every level
+    applies the same tie rule (``_tie_break``), so a landscape flat in alpha
+    gives alpha = 0.  The winner is reported from the per-point pass, so the
+    result equals ``optimize_beta(replace(config, alpha=result.alpha))``.
+    """
+    n = config.n_atoms
+    series = _moment_series(config)
+    size = 64 * series.shape[1]
+    step = math.pi / size
+    dense = np.fft.irfft(series, size) * size
+    alpha = _tie_break(step * np.arange(size), SpinMoments(*dense), n)
+    while step >= _ALPHA_STEP:
+        step /= 64
+        alphas = alpha + step * np.arange(-64, 65)
+        alpha = _tie_break(alphas, _moments_at(series, alphas), n)
     return optimize_beta(replace(config, alpha=alpha))
 
 
@@ -211,7 +212,7 @@ def optimized_gain(seq: SequenceConfig, spec: OptimizationSpec | None = None) ->
     """Gain optimized over beta, with alpha chosen by ``spec.alpha_mode``."""
     spec = spec or OptimizationSpec()
     if spec.alpha_mode == "scan":
-        return optimize_alpha_beta(seq, spec)
+        return optimize_alpha_beta(seq)
     alpha = (
         alpha_H(seq.n_atoms, seq.tau)
         if spec.alpha_mode == "alpha_H"

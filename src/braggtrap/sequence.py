@@ -10,11 +10,12 @@ two pi/2 Bragg pulses.  The phase theta and the closing R_x(beta - pi/2)
 act linearly on the spin vector, so every output number comes from the
 moments of the state chi just before theta.  The gain over the shot-noise
 limit 1/sqrt(N) follows from linear error propagation on <S_z>.  The joint
-alpha search gets chi for a block of alphas at once (``pre_phase_block``):
-the prepared state is even under the index reversal m -> -m, so its
-rotations run on the even sector of the S_x eigenbasis, at half the size
-(N <= 16383 within the 1 GiB eigensystem limit).  The search ranks each
-block by ``beta_optimum``, the elementwise core of ``best_beta``.
+alpha search samples chi for a block of alphas at once
+(``pre_phase_block``): the prepared state is even under the index reversal
+m -> -m, so its rotations run on the even sector of the S_x eigenbasis, at
+half the size (N <= 16383 within the 1 GiB eigensystem limit).  The search
+ranks the interpolated moments by ``beta_optimum``, the elementwise core of
+``best_beta``.
 """
 
 from __future__ import annotations

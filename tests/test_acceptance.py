@@ -134,7 +134,7 @@ def test_criterion_5_headline_gain():
 
 def test_criterion_6_gain_ceiling():
     ceiling = 1000 ** (1.0 / 3.0) * 1.05
-    spec = OptimizationSpec(alpha_mode="scan", alpha_grid=24)
+    spec = OptimizationSpec(alpha_mode="scan")
     rows = list(scan_m(HEADLINE_TRAP, [0.5 * k for k in range(0, 11)]))
     rows += scan_trap(HEADLINE_TRAP, "gamma", [0.2, 0.5, 1.0], m_values=(0.5, 1.0), spec=spec)
     rows += scan_trap(HEADLINE_TRAP.with_aspect_ratio(1.0), "omega_z",
@@ -238,7 +238,7 @@ def test_criterion_10_weak_regime_policy_ordering():
     tau_half = tau_accumulated(HEADLINE_TRAP, "gaussian", 0.5 * HEADLINE_TRAP.period)
     seq = SequenceConfig(n_atoms=1000, tau=2.0 * tau_half,
                          tau_tilde=tau_tilde(HEADLINE_TRAP, "gaussian"))
-    joint = optimize_alpha_beta(seq, OptimizationSpec(alpha_grid=60))
+    joint = optimize_alpha_beta(seq)
     effortless = optimize_beta(seq)
     capped = optimize_beta(replace(seq, alpha=math.pi / 2))
     ok = effortless.gain >= 0.95 * joint.gain and capped.gain <= 1.01

@@ -102,9 +102,6 @@ class TestExitCodes:
     def test_out_of_range_values_are_usage_errors(self, capsys):
         for args, key in (
             (["scan-trap", "--sweep", "gamma", "--sweep-values=-1"], "sweep_values"),
-            (["optimize", "--alpha-policy", "scan", "--alpha-grid", "5"], "alpha_grid"),
-            (["optimize", "--alpha-policy", "scan", "--refine-tolerance-rad", "0.5"],
-             "refine_tolerance"),
             (["husimi", "--n-polar", "1"], "n_polar"),
         ):
             code, _, err = run_cli(args, capsys)
@@ -195,17 +192,18 @@ class TestExitCodes:
         assert "n_atoms = 20000" in err
         assert str(dicke._EIGENSYSTEM_MAX_BYTES) in err
 
-    def test_huge_alpha_grid_is_usage_error(self, capsys, monkeypatch):
-        from braggtrap import optimize
-
-        def never(*args, **kwargs):
-            raise AssertionError("a 10^9-cell alpha search must not start")
-
-        monkeypatch.setattr(optimize, "optimize_alpha_beta", never)
-        code, _, err = run_cli(["optimize", "--alpha-policy", "scan", "--alpha-grid",
-                                "1000000000", "--n-atoms", "2", "--tau", "0.1"], capsys)
-        assert code == 1
-        assert "alpha_grid" in err and "1000000" in err
+    def test_retired_alpha_search_keys_are_unknown(self, capsys, tmp_path):
+        # the alpha search has no grid or tolerance knobs left
+        code, out, err = run_cli(["optimize", "--alpha-policy", "scan", "--alpha-grid", "5"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage:") and "--alpha-grid" in err, err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha_grid = 5\n")
+        code, out, err = run_cli(["optimize", "--alpha-policy", "scan", "--config", str(cfg)],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("braggtrap: error:") and "unknown key 'alpha_grid'" in err, err
 
     def test_success_is_zero(self, capsys):
         code, out, err = run_cli(["gain"], capsys)
@@ -304,6 +302,23 @@ class TestCurveCommands:
         assert len(lines) == 1 + 16 * 8
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(v >= 0.0 for v in values)
+
+    def test_husimi_streams_its_rows(self, tmp_path):
+        # 10^5 cells make a 5.4 MB file; rows are formatted as they are
+        # written, so the traced peak stays below the file size
+        import tracemalloc
+
+        out = tmp_path / "q.csv"
+        tracemalloc.start()
+        try:
+            code = main(["husimi", "--n-atoms", "4", "--n-polar", "200", "--n-azimuth", "500",
+                         "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 5e6
+        assert peak < 8e6, peak
 
 
 class TestDeterminism:

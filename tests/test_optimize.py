@@ -6,7 +6,14 @@ import pytest
 
 from braggtrap import optimize
 from braggtrap.closed_form import weak_gain, xi2_closed
-from braggtrap.dicke import PulseSpec, apply_oat, apply_rotation, make_css, wineland_xi2
+from braggtrap.dicke import (
+    PulseSpec,
+    apply_oat,
+    apply_rotation,
+    make_css,
+    spin_moments,
+    wineland_xi2,
+)
 from braggtrap.optimize import (
     OptimizationSpec,
     alpha_H,
@@ -15,11 +22,10 @@ from braggtrap.optimize import (
     scan_m,
     scan_trap,
 )
-from braggtrap.sequence import SequenceConfig, gain_at_zero
+from braggtrap.sequence import SequenceConfig, gain_at_zero, pre_phase_state, prepared_state
 from braggtrap.trap import AtomTrapConfig, tau_accumulated, tau_tilde
 
 HEADLINE_TRAP = AtomTrapConfig()  # Rb-87, N=1000, 2 pi {20, 20, 100} Hz
-SMALL_SPEC = OptimizationSpec(alpha_grid=40)
 
 
 def headline_sequence(m: float) -> SequenceConfig:
@@ -32,23 +38,6 @@ def headline_sequence(m: float) -> SequenceConfig:
 
 
 class TestSpecValidation:
-    def test_grid_minimum(self):
-        with pytest.raises(ValueError):
-            OptimizationSpec(alpha_grid=7)
-
-    def test_grid_maximum(self):
-        # checked before the grid, its values and their lexsort are allocated;
-        # the limit itself is allowed
-        with pytest.raises(ValueError, match=r"alpha_grid.*1000000\]"):
-            OptimizationSpec(alpha_mode="scan", alpha_grid=10**9)
-        assert OptimizationSpec(alpha_mode="scan", alpha_grid=10**6).alpha_grid == 10**6
-
-    def test_tolerance_range(self):
-        with pytest.raises(ValueError):
-            OptimizationSpec(refine_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizationSpec(refine_tolerance=0.2)
-
     def test_policy_names(self):
         with pytest.raises(ValueError):
             OptimizationSpec(alpha_mode="random")
@@ -96,20 +85,20 @@ class TestOptimizeAlphaBeta:
     def test_linear_limit_recovers_inverse_xi(self):
         # tau_tilde = 0: the joint optimum equals the linear gain 1/xi
         n, tau = 100, 0.02
-        res = optimize_alpha_beta(SequenceConfig(n_atoms=n, tau=tau), SMALL_SPEC)
+        res = optimize_alpha_beta(SequenceConfig(n_atoms=n, tau=tau))
         assert res.gain == pytest.approx(1.0 / math.sqrt(xi2_closed(n, tau)), rel=1e-4)
 
     def test_weak_interactions_effortless_strategy(self):
         # alpha = 0 with optimized beta sits within 5% of the joint optimum
         seq = headline_sequence(1.0)
-        joint = optimize_alpha_beta(seq, SMALL_SPEC)
+        joint = optimize_alpha_beta(seq)
         effortless = optimize_beta(seq)
         assert effortless.gain >= 0.95 * joint.gain
 
     def test_strong_interactions_need_joint_rotation(self):
         # deep in the degraded regime only the joint optimum stays competitive
         seq = headline_sequence(2.0)
-        joint = optimize_alpha_beta(seq, SMALL_SPEC)
+        joint = optimize_alpha_beta(seq)
         fixed0 = optimize_beta(seq)
         fixed_half_pi = optimize_beta(replace(seq, alpha=math.pi / 2))
         fixed_h = optimize_beta(replace(seq, alpha=alpha_H(seq.n_atoms, seq.tau)))
@@ -117,13 +106,13 @@ class TestOptimizeAlphaBeta:
 
     def test_dominates_fixed_alpha(self):
         seq = headline_sequence(1.5)
-        joint = optimize_alpha_beta(seq, SMALL_SPEC)
+        joint = optimize_alpha_beta(seq)
         assert joint.gain >= optimize_beta(seq).gain - 1e-6
 
     def test_deterministic(self):
         seq = headline_sequence(0.5)
-        a = optimize_alpha_beta(seq, SMALL_SPEC)
-        b = optimize_alpha_beta(seq, SMALL_SPEC)
+        a = optimize_alpha_beta(seq)
+        b = optimize_alpha_beta(seq)
         assert (a.gain, a.alpha, a.beta) == (b.gain, b.alpha, b.beta)
 
 
@@ -132,106 +121,51 @@ class TestJointSearch:
 
     CONFIGS = (headline_sequence(1.5), SequenceConfig(n_atoms=60, tau=0.05),
                SequenceConfig(n_atoms=3, tau=0.4, tau_tilde=-0.2))
+    # N = 200 at N tau_tilde = 10 needs K = 128 samples
+    DOUBLED = SequenceConfig(n_atoms=200, tau=0.05, tau_tilde=0.05)
 
     def test_result_is_optimize_beta_at_its_alpha(self):
         for seq in self.CONFIGS:
-            res = optimize_alpha_beta(seq, SMALL_SPEC)
+            res = optimize_alpha_beta(seq)
             assert res == optimize_beta(replace(seq, alpha=res.alpha))
 
-    def test_block_g2_is_best_beta_of_each_row(self, monkeypatch):
-        # the search ranks blocks from their moment arrays; each row's G^2
-        # must be the per-point best_beta's to the bit
-        from braggtrap.dicke import DickeState, spin_moments
-        from braggtrap.sequence import best_beta
+    def test_interpolant_matches_per_point_moments(self):
+        # off-sample alphas against the per-point moment pass; the bound is
+        # the sampling tail, in units of S for the means and S^2 for the rest
+        alphas = np.array([0.0123, 0.3, 0.777, 1.2345, 1.6, 2.5, 3.1])
+        configs = [SequenceConfig(n_atoms=n, tau=0.3 * n ** (-2 / 3),
+                                  tau_tilde=0.15 * n ** (-2 / 3))
+                   for n in (2, 3, 62, 1000, 1001)]
+        for seq in configs + [self.DOUBLED]:
+            got = np.array(optimize._moments_at(optimize._moment_series(seq), alphas))
+            want = np.array([spin_moments(pre_phase_state(prepared_state(seq), a, seq.tau_tilde))
+                             for a in alphas]).T
+            spin = 0.5 * seq.n_atoms
+            scale = np.array([[spin]] * 3 + [[spin * spin]] * 6)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), seq.n_atoms
+        assert optimize._moment_series(self.DOUBLED).shape[1] >= 64  # K >= 128
 
-        blocks, values = [], []
-        block_moments, beta_optimum = optimize.block_moments, optimize.beta_optimum
+    def test_doubled_search_beats_a_fine_grid(self):
+        seq = self.DOUBLED
+        best = optimize_alpha_beta(seq).gain
+        for alpha in np.linspace(0.0, math.pi, 2001, endpoint=False):
+            assert optimize_beta(replace(seq, alpha=float(alpha))).gain <= best
 
-        def recorded_moments(n, block):
-            blocks.append(np.array(block))
-            return block_moments(n, block)
-
-        def recorded_optimum(mom, n):
-            values.append(beta_optimum(mom, n))
-            return values[-1]
-
-        monkeypatch.setattr(optimize, "block_moments", recorded_moments)
-        monkeypatch.setattr(optimize, "beta_optimum", recorded_optimum)
-        for seq in self.CONFIGS + (SequenceConfig(n_atoms=62, tau=0.03, tau_tilde=0.01),):
-            blocks.clear()
-            values.clear()
-            optimize_alpha_beta(seq, SMALL_SPEC)
-            assert len(blocks) == len(values) > 1
-            for block, (g2, _) in zip(blocks, values):
-                assert g2.tolist() == [best_beta(spin_moments(DickeState(seq.n_atoms, row)),
-                                                 seq.n_atoms)[0] for row in block]
+    def test_flat_landscape_picks_alpha_zero(self):
+        # at tau = 0 the +x state is an S_x eigenstate, so chi does not depend
+        # on alpha; the tie rule, not rounding, must decide
+        for n in (10, 1000):
+            assert optimize_alpha_beta(SequenceConfig(n_atoms=n, tau_tilde=0.01)).alpha == 0.0
 
     def test_blocked_grid_matches_one_block(self, monkeypatch):
-        seq, spec = self.CONFIGS[0], OptimizationSpec()
-        row_bytes = 16 * (seq.n_atoms + 1)
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", spec.alpha_grid * row_bytes)
-        one_block = optimize_alpha_beta(seq, spec)
-        for rows in (1, 7, 60):
-            monkeypatch.setattr(optimize, "_BLOCK_BYTES", rows * row_bytes)
-            res = optimize_alpha_beta(seq, spec)
-            assert res.alpha == one_block.alpha
-            assert res.gain == pytest.approx(one_block.gain, rel=1e-13)
-
-    @staticmethod
-    def _scalar_golden_max(f, lo, hi, tol):
-        """The scalar golden-section search the lockstep one reproduces."""
-        g = optimize._GOLDEN
-        a, b = lo, hi
-        c = b - g * (b - a)
-        d = a + g * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(optimize._MAX_REFINE_ITER):
-            if b - a < tol:
-                break
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - g * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + g * (b - a)
-                fd = f(d)
-        return 0.5 * (a + b)
-
-    def test_lockstep_golden_equals_scalar_search(self):
-        # brackets with the peak inside, at an edge and outside, of both
-        # widths the search uses; the plateau exercises ties
-        h = math.pi / 181
-        brackets = [(0.4 - h, 0.4 + h), (1.0, 1.0 + 2 * h), (-0.3, -0.3 + 2 * h),
-                    (2.0 - h, 2.0 + h), (0.71 - h, 0.71 + h)]
-        for shift in (0.4, 0.7123, 1.05, 2.0):
-            for f in (lambda x: -(x - shift) ** 2, lambda x: min(0.0, -(x - shift) ** 3)):
-                for tol in (1e-4, 1e-7):
-                    evals = []
-
-                    def block(points):
-                        evals.append(len(points))
-                        return [f(x) for x in points]
-
-                    found = optimize._golden_max(block, brackets, tol)
-                    assert found == [self._scalar_golden_max(f, lo, hi, tol)
-                                     for lo, hi in brackets]
-                    assert evals[0] == 2 * len(brackets)
-                    assert set(evals[1:]) == {len(brackets)}
-
-    def test_golden_stop_rule_steps_a_bracket_exactly_tol_wide(self):
-        # the rule is width >= tol: a bracket exactly tol wide takes one more
-        # step (f increasing, so it keeps the upper part), where > tol would
-        # stop at once and return 0.5
-        evals = []
-
-        def block(points):
-            evals.append(len(points))
-            return list(points)
-
-        found = optimize._golden_max(block, [(0.0, 1.0)], 1.0)
-        assert evals == [2, 1]
-        assert found == [0.5 * ((1.0 - optimize._GOLDEN) + 1.0)]
+        # alpha comes from comparisons only, so the block size must not move it
+        for seq in (self.CONFIGS[0], self.DOUBLED):
+            row_bytes = 16 * (seq.n_atoms + 1)
+            monkeypatch.setattr(optimize, "_BLOCK_BYTES", 1 << 40)
+            one_block = optimize_alpha_beta(seq)
+            for rows in (1, 7, 60):
+                monkeypatch.setattr(optimize, "_BLOCK_BYTES", rows * row_bytes)
+                assert optimize_alpha_beta(seq) == one_block
 
 
 class TestAlphaH:
@@ -279,7 +213,7 @@ class TestScanM:
         rows0 = scan_m(HEADLINE_TRAP, [0.5, 1.0])
         rows_scan = scan_m(
             HEADLINE_TRAP, [0.5, 1.0],
-            OptimizationSpec(alpha_mode="scan", alpha_grid=40),
+            OptimizationSpec(alpha_mode="scan"),
         )
         for fixed, scanned in zip(rows0, rows_scan):
             assert scanned.gain >= fixed.gain - 1e-6
@@ -302,7 +236,7 @@ class TestScanM:
 
 @pytest.fixture(scope="module")
 def gamma_rows():
-    spec = OptimizationSpec(alpha_mode="scan", alpha_grid=24)
+    spec = OptimizationSpec(alpha_mode="scan")
     return scan_trap(HEADLINE_TRAP, "gamma", [0.2, 0.5, 1.0],
                      m_values=(0.5, 1.0), spec=spec)
 
@@ -340,7 +274,7 @@ class TestScanTrap:
         assert all(row.gain_linear <= ceiling for row in gamma_rows)
 
     def test_omega_sweep_shape(self):
-        spec = OptimizationSpec(alpha_mode="scan", alpha_grid=16)
+        spec = OptimizationSpec(alpha_mode="scan")
         spherical = HEADLINE_TRAP.with_aspect_ratio(1.0)
         rows = scan_trap(spherical, "omega_z", [2 * math.pi * 60.0, 2 * math.pi * 120.0],
                          m_values=(0.5,), spec=spec)

@@ -9,7 +9,7 @@ from braggtrap import dicke, optimize, sequence
 from braggtrap.closed_form import weak_gain, xi2_closed
 from braggtrap.dicke import SpinOp, expectation, make_css, operator_matrix
 from braggtrap.errors import FlatSlopeError
-from braggtrap.optimize import OptimizationSpec, optimize_alpha_beta
+from braggtrap.optimize import optimize_alpha_beta
 from braggtrap.sequence import (
     SequenceConfig,
     gain_at_zero,
@@ -160,8 +160,7 @@ class TestSensitivity:
 
     def test_sub_shot_noise_optimized(self):
         seq = SequenceConfig(n_atoms=500, tau=0.01, tau_tilde=0.002)
-        spec = OptimizationSpec(alpha_grid=40)
-        best = optimize_alpha_beta(seq, spec)
+        best = optimize_alpha_beta(seq)
         res = sensitivity(replace(seq, alpha=best.alpha, beta=best.beta))
         assert res.delta_theta < 1.0 / math.sqrt(500)
         assert res.gain > 1.0
@@ -316,9 +315,9 @@ class TestRotationCount:
         assert len(x_rotations) == 1
 
     def test_optimize_alpha_beta(self, x_rotations):
-        # the grid and the golden steps run batched; only the winner is
-        # re-evaluated per point
-        optimize.optimize_alpha_beta(self.CFG, OptimizationSpec(alpha_grid=16))
+        # the alpha samples run batched; only the winner is re-evaluated
+        # per point
+        optimize.optimize_alpha_beta(self.CFG)
         assert len(x_rotations) == 1
 
 
