@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import xi2_closed
-from .dicke import husimi_grid, spin_moments
+from .dicke import _EIGENSYSTEM_MAX_BYTES, husimi_grid, spin_moments
 from .errors import BraggTrapError, ResourceLimitError
 from .optimize import OptimizationSpec, optimized_gain, scan_m, scan_trap
 from .sequence import (
@@ -56,6 +56,9 @@ from .trap import (
 )
 
 TWO_PI = 2.0 * math.pi
+# Bytes a squeeze or fringe step holds, its row of three floats and its
+# arrays' entries (tracemalloc peaks of 152 and 177 B)
+_STEP_BYTES = 192
 
 
 class UsageError(Exception):
@@ -73,6 +76,13 @@ def _half_integer(key: str, value):
         return half_integer(key, value)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _step_count(key: str, value):
+    if _positive(key, value) * _STEP_BYTES > _EIGENSYSTEM_MAX_BYTES:
+        raise UsageError(f"{key} = {value} needs {value * _STEP_BYTES} B, above the "
+                         f"limit of {_EIGENSYSTEM_MAX_BYTES} B")
+    return value
 
 
 def _at_least_two(key: str, value):
@@ -138,10 +148,10 @@ KEYS = {
     "alpha_policy": (str, "fixed", "enum", "alpha selection: fixed | alpha-h | scan", _choice("fixed", "alpha-h", "scan")),
     "tau_min": (float, 1e-4, "rad", "squeeze sweep: smallest tau", _positive),
     "tau_max": (float, 0.03, "rad", "squeeze sweep: largest tau", _positive),
-    "tau_steps": (int, 200, "dimensionless", "squeeze sweep: number of points", _positive),
+    "tau_steps": (int, 200, "dimensionless", "squeeze sweep: number of points", _step_count),
     "theta_min_rad": (float, -math.pi, "rad", "fringe sweep: smallest theta", _identity),
     "theta_max_rad": (float, math.pi, "rad", "fringe sweep: largest theta", _identity),
-    "theta_steps": (int, 73, "dimensionless", "fringe sweep: number of points", _positive),
+    "theta_steps": (int, 73, "dimensionless", "fringe sweep: number of points", _step_count),
     "m_values": (list, [0.5 * k for k in range(0, 11)], "dimensionless", "comma-separated oscillation counts", _half_integer_list),
     "sweep": (str, "omega-z", "enum", "scan-trap axis: gamma | omega-z", _choice("gamma", "omega-z")),
     "sweep_values": (list, None, "Hz or dimensionless", "comma-separated sweep values (Hz for omega-z, ratio for gamma)", _positive_list),
@@ -342,7 +352,7 @@ def _sequence_from_params(params: dict) -> SequenceConfig:
 
 def _spec_from_params(params: dict) -> OptimizationSpec:
     policy = {"fixed": "fixed", "alpha-h": "alpha_H", "scan": "scan"}[params["alpha_policy"]]
-    return OptimizationSpec(alpha_mode=policy, alpha_value=params.get("alpha_rad", 0.0))
+    return OptimizationSpec(alpha_mode=policy)
 
 
 def _fmt(value) -> str:

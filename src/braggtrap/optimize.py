@@ -5,7 +5,7 @@ For a given alpha, one moment pass on the state before the phase
 (``sequence.best_beta``) and the reported gain.  alpha_H is the exact
 principal axis of the twisted state's y-z second moments.  Only the joint
 optimum needs a search, and only over alpha.  Every moment of chi is a
-trigonometric polynomial of period pi in alpha (the rotation is the phase
+finite Fourier series of period pi in alpha (the rotation is the phase
 exp(-i alpha m) on the even S_x sector, which holds every second m), so
 equispaced samples determine it (Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013, ch. 3).  The search samples chi in
@@ -70,13 +70,12 @@ _ALPHA_POLICIES = ("fixed", "alpha_H", "scan")
 class OptimizationSpec:
     """Alpha-selection policy.
 
-    alpha_mode: "fixed" (use alpha_value), "alpha_H" (linear-sequence
-    optimum for the given tau), or "scan" (joint optimum with beta).  beta is
-    always optimized exactly.
+    alpha_mode: "fixed" (the sequence's own alpha), "alpha_H"
+    (linear-sequence optimum for the given tau), or "scan" (joint optimum
+    with beta).  beta is always optimized exactly.
     """
 
     alpha_mode: str = "fixed"
-    alpha_value: float = 0.0
 
     def __post_init__(self):
         if self.alpha_mode not in _ALPHA_POLICIES:
@@ -107,7 +106,10 @@ def optimize_beta(config: SequenceConfig) -> GainResult:
     """Maximize the theta = 0 gain over the final pulse angle beta.
 
     The maximizer is exact.  A landscape whose peak G^2 is below 1e-12 (it
-    vanishes at beta = +-pi/2) is reported via flat_landscape with beta = 0.
+    vanishes at beta = +-pi/2) is evaluated at beta = 0, with two outcomes:
+    while |<S_x>_out| >= 1e-12 S it is reported via flat_landscape with
+    beta = 0 and a tiny gain; below that the working point is insensitive
+    and FlatSlopeError is raised (``gain_from_moments``).
     """
     mom = spin_moments(pre_phase_state(prepared_state(config), config.alpha, config.tau_tilde))
     g2, beta = best_beta(mom, config.n_atoms)
@@ -213,12 +215,9 @@ def optimized_gain(seq: SequenceConfig, spec: OptimizationSpec | None = None) ->
     spec = spec or OptimizationSpec()
     if spec.alpha_mode == "scan":
         return optimize_alpha_beta(seq)
-    alpha = (
-        alpha_H(seq.n_atoms, seq.tau)
-        if spec.alpha_mode == "alpha_H"
-        else spec.alpha_value
-    )
-    return optimize_beta(replace(seq, alpha=alpha))
+    if spec.alpha_mode == "alpha_H":
+        seq = replace(seq, alpha=alpha_H(seq.n_atoms, seq.tau))
+    return optimize_beta(seq)
 
 
 def _linear_reference(n_atoms: int, tau: float) -> float:

@@ -6,7 +6,7 @@ collisional nonlinearity chi(t) = chi_S - 2 chi_C switches sign as the mode
 overlap changes: full overlap gives -chi_max (cross-phase modulation twice
 the self term), full separation gives +chi_max.  Integrating chi over the
 hold time yields the dimensionless twisting strengths driving the spin
-simulation, in closed form over whole half periods (``_integrate_chi``).
+simulation, in closed form from the overlap's Fourier series (``_integrate_chi``).
 
 All quantities are SI; frequencies are angular (rad/s).
 """
@@ -56,14 +56,11 @@ GAUSSIAN_WIDTH_RATIO = (2.0 / (15.0**2 * math.pi)) ** 0.1 / math.sqrt(2.0)
 TRAP_MODELS = ("gaussian", "thomas_fermi")
 
 _QUAD_REL_TOL = 1e-6  # of chi_max * window, per the integration contract
-# Node and panel counts double until two levels agree to _AGREE_TOL (of the
-# period mean, or of the window for panels), or until the cap, which bounds
-# the work at a dip too narrow to resolve; there the change at the last
-# doubling must lie within the budget _QUAD_REL_TOL.
+# The overlap's node count doubles until its Fourier tail is below _AGREE_TOL
+# or it reaches the cap, which bounds the work at a dip too narrow to
+# resolve; there the change at the last doubling must lie within the budget.
 _AGREE_TOL = 1e-14
 _MAX_NODES = 1 << 22
-_MAX_PANELS = 1 << 12
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def half_integer(name: str, value):
@@ -294,41 +291,32 @@ def chi_of_t(
     return chi_s - 2.0 * chi_c
 
 
-def _overlap_mean(a2: float) -> tuple[float, float]:
-    """Mean of exp(-a2 sin^2 u) over its period [0, pi) by the periodic
-    trapezoid rule, and the change at the last doubling of the node count
-    (each doubling adds the midpoints of the previous level)."""
-    n = 8
-    total = float(np.exp(-a2 * np.sin((math.pi / n) * np.arange(n)) ** 2).sum())
-    mean = total / n
-    while True:
-        total += float(np.exp(-a2 * np.sin((math.pi / n) * (np.arange(n) + 0.5)) ** 2).sum())
-        n *= 2
-        mean, change = total / n, abs(total / n - mean)
-        if change <= _AGREE_TOL or n >= _MAX_NODES:
-            return mean, change
+def _overlap_series(a2: float) -> np.ndarray:
+    """Cosine coefficients c_k, k < n/2, of exp(-a2 sin^2 u) =
+    c_0 + sum_k c_k cos 2ku from one FFT of n equispaced samples over
+    [0, pi) (row 0), and those of the even-indexed samples alone (row 1).
 
-
-def _overlap_partial(a2: float, upto: float) -> tuple[float, float]:
-    """Integral of exp(-a2 sin^2 u) over [0, upto] by composite 16-point
-    Gauss-Legendre panels, and the change at the last doubling of the panel
-    count.  The first level's panels are about one dip width 1/a wide, so
-    the dip at u = 0 cannot fall between all the nodes of two levels alike.
+    n starts at the power of two >= 8 (1 + a), half of what the dip of
+    width 1/a needs, and doubles at least once, reusing the old samples as
+    the even-indexed half, until every c_k from k = n/3 on is below
+    _AGREE_TOL or n reaches _MAX_NODES.  The half sees each k < n/4 with its
+    alias n/2 - k, so row 1 folds out of the same FFT.
     """
-    def level(panels: int) -> float:
-        width = upto / panels
-        u = width * (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0))
-        return 0.5 * width * float((np.exp(-a2 * np.sin(u) ** 2) * _GL_WEIGHTS).sum())
-
-    panels = min(_MAX_PANELS // 2, 1 << math.ceil(math.log2(1.0 + upto * math.sqrt(a2))))
-    value = level(panels)
+    n = min(_MAX_NODES // 2, 1 << math.ceil(math.log2(8.0 * (1.0 + math.sqrt(a2)))))
+    samples = np.exp(-a2 * np.sin((math.pi / n) * np.arange(n)) ** 2)
     while True:
-        panels *= 2
-        new = level(panels)
-        change = abs(new - value)
-        if change <= _AGREE_TOL * upto or panels >= _MAX_PANELS:
-            return new, change
-        value = new
+        doubled = np.empty(2 * n)
+        doubled[0::2] = samples
+        doubled[1::2] = np.exp(-a2 * np.sin((math.pi / n) * (np.arange(n) + 0.5)) ** 2)
+        samples, n = doubled, 2 * n
+        spectrum = np.fft.rfft(samples).real / n
+        spectrum[1:] *= 2.0
+        if n >= _MAX_NODES or np.abs(spectrum[n // 3:]).max() <= _AGREE_TOL:
+            series = np.zeros((2, n // 2))
+            series[0] = spectrum[:n // 2]
+            series[1, :n // 4] = spectrum[:n // 4] + spectrum[:n // 4:-1]
+            series[1, 0] = spectrum[0] + 0.5 * spectrum[n // 2]
+            return series
 
 
 def _integrate_chi(
@@ -340,15 +328,16 @@ def _integrate_chi(
     """Integral of chi(t) over [0, upto], exploiting periodicity.
 
     chi(t) = chi_max (1 - 2 exp(-a^2 sin^2 omega t)), a = amp / sigma_z,
-    repeats every half period with the closed-form mean
-    chi_max (1 - 2 e^-x I_0(x)), x = a^2 / 2 (Abramowitz & Stegun 9.6.19),
-    taken by the periodic trapezoid rule, which converges geometrically on
-    an analytic periodic integrand (Trefethen & Weideman, SIAM Rev. 56, 385
-    (2014)).  Whole half periods multiply that mean, so
-    tau(m T) = 2 m tau(T/2) holds exactly; a window within a few ulps of a
-    whole number of half periods counts as one.  The rest of the window goes
-    by Gauss-Legendre panels.  Raises QuadratureError when the change at the
-    last doubling exceeds the budget of 1e-6 chi_max * upto.
+    repeats every half period.  The overlap has the cosine series
+    e^-x [I_0(x) + 2 sum_k I_k(x) cos 2ku], x = a^2 / 2 (Jacobi-Anger;
+    Abramowitz & Stegun 9.6.34), taken from periodic trapezoid samples
+    (``_overlap_series``), which converge geometrically (Trefethen &
+    Weideman, SIAM Rev. 56, 385 (2014)).  Whole half periods multiply the
+    mean c_0, so tau(m T) = 2 m tau(T/2) holds exactly; a window within a
+    few ulps of a whole number of half periods counts as one.  The rest u
+    of the window integrates to c_0 u + sum_k c_k sin(2ku) / 2k.  Raises
+    QuadratureError when the change of both at the last doubling exceeds
+    the budget of 1e-6 chi_max * upto.
     """
     if upto == 0.0:
         return 0.0
@@ -360,22 +349,22 @@ def _integrate_chi(
         n_full, remainder = n_full + 1, 0.0
     elif remainder <= 4.0 * math.ulp(upto):
         remainder = 0.0
-    total = achieved = 0.0
-    if n_full:
-        mean, change = _overlap_mean(a2)
-        total += n_full * (half * chi_max * (1.0 - 2.0 * mean))
-        achieved += n_full * half * chi_max * 2.0 * change
+    series = _overlap_series(a2)  # row 1, from half the samples, estimates the error
+    whole = n_full * (half * chi_max * (1.0 - 2.0 * series[:, 0]))
+    rest = np.zeros(2)
     if remainder:
-        part, change = _overlap_partial(a2, omega * remainder)
-        total += chi_max * (remainder - 2.0 * part / omega)
-        achieved += chi_max * 2.0 * change / omega
+        u = omega * remainder
+        k = 2.0 * np.arange(1, series.shape[1])
+        part = series[:, 0] * u + (series[:, 1:] * (np.sin(k * u) / k)).sum(axis=1)
+        rest = chi_max * (remainder - 2.0 * part / omega)
+    achieved = float(abs(whole[0] - whole[1]) + abs(rest[0] - rest[1]))
     tol_total = _QUAD_REL_TOL * chi_max * upto
     if achieved > tol_total:
         raise QuadratureError(
             f"chi(t) quadrature reached {achieved:.3e}, requested {tol_total:.3e}",
             achieved=achieved, requested=tol_total,
         )
-    return total
+    return float(whole[0] + rest[0])
 
 
 def tau_accumulated(config: AtomTrapConfig, model: str, upto: float) -> float:

@@ -177,6 +177,48 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("braggtrap: error:") and "Husimi grid" in err, err
 
+    def test_huge_step_count_is_usage_error(self, capsys, monkeypatch):
+        from braggtrap import dicke
+
+        def small(count):
+            def checked(start, stop, num=50, *args, **kwargs):
+                if num > 1e6:
+                    raise AssertionError("an over-limit sweep must not start")
+                return count(start, stop, num, *args, **kwargs)
+            return checked
+
+        monkeypatch.setattr(np, "linspace", small(np.linspace))
+        for command, key in (("squeeze", "tau_steps"), ("fringe", "theta_steps")):
+            flag = "--" + key.replace("_", "-")
+            code, out, err = run_cli([command, "--n-atoms", "4", flag, "99999999999"], capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("braggtrap: error:"), err
+            assert key in err and str(dicke._EIGENSYSTEM_MAX_BYTES) in err, err
+
+    @pytest.mark.parametrize("policy", ["fixed", "scan"])
+    def test_flat_landscape_outcomes(self, capsys, policy):
+        # at N = 1000, tau = 0.003 a strong interrogation twist leaves
+        # <S_x>_out near zero at alpha = 0: above 1e-12 S the run reports a
+        # flat landscape with beta = 0, below it the working point is
+        # insensitive; the scan finds a sensitive alpha except at tau_tilde = 1
+        args = ["optimize", "--n-atoms", "1000", "--tau", "0.003", "--alpha-policy", policy]
+        code, out, _ = run_cli(args + ["--tau-tilde", "0.05"], capsys)
+        assert code == 0
+        result = json.loads(out)
+        if policy == "fixed":
+            assert result["flat_landscape"] and result["beta"] == 0.0
+            assert 0.0 < result["gain"] < 1e-6
+        else:
+            assert not result["flat_landscape"] and result["gain"] > 0.1
+        for tau_tilde in ("0.1", "1"):
+            code, out, err = run_cli(args + ["--tau-tilde", tau_tilde], capsys)
+            if policy == "scan" and tau_tilde == "0.1":
+                assert code == 0 and not json.loads(out)["flat_landscape"]
+            else:
+                assert code == 2 and out == ""
+                assert "insensitive working point" in err, err
+
     def test_huge_eigensystem_is_usage_error(self, capsys, monkeypatch):
         from braggtrap import dicke
 
@@ -386,15 +428,18 @@ class TestDeterminism:
 
 class TestDependencies:
     def test_commands_import_no_scipy(self, tmp_path):
-        # scipy is a test dependency only: no command, the alpha scan
-        # included, may load it
+        # scipy is a test dependency only: no command, the alpha scan and
+        # the partial-window quadrature of tau included, may load it, nor
+        # numpy.polynomial
         code = ("import sys\n"
                 "from braggtrap.cli import main\n"
                 "out = sys.argv[1]\n"
                 "for name, args in (('gain', ['gain', '--from-trap']),\n"
-                "                   ('scan', ['optimize', '--alpha-policy', 'scan'])):\n"
+                "                   ('scan', ['optimize', '--alpha-policy', 'scan']),\n"
+                "                   ('tau', ['tau'])):\n"
                 "    assert main(args + ['--n-atoms', '40', '--output', out + name]) == 0\n"
-                "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "          or m.split('.')[:2] == ['numpy', 'polynomial']]\n"
                 "assert not loaded, loaded\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -404,6 +449,7 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "gain").stat().st_size > 0
         assert (tmp_path / "scan").stat().st_size > 0
+        assert (tmp_path / "tau").stat().st_size > 0
 
 
 class TestHelp:

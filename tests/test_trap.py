@@ -5,7 +5,7 @@ import pytest
 import scipy.constants
 from scipy.constants import hbar
 from scipy.integrate import quad
-from scipy.special import i0e
+from scipy.special import i0e, ive
 
 from braggtrap import trap
 from braggtrap.errors import QuadratureError
@@ -252,18 +252,25 @@ class TestTauAccumulated:
 
 
 class TestClosedFormQuadrature:
-    """The chi(t) integral without scipy: closed-form period mean by the
-    periodic trapezoid rule plus Gauss-Legendre panels for the rest."""
+    """The chi(t) integral without scipy: the overlap's cosine series from
+    the FFT of periodic trapezoid samples, integrated in closed form over
+    whole half periods and the rest of the window."""
 
     def test_hbar_matches_scipy_bitwise(self):
         assert trap.hbar == scipy.constants.hbar
 
     def test_period_mean_is_bessel_closed_form(self):
-        # A&S 9.6.19: the mean of exp(-a^2 sin^2 u) is e^-x I_0(x), x = a^2/2
+        # A&S 9.6.34: exp(-a^2 sin^2 u) = e^-x [I_0(x) + 2 sum_k I_k(x) cos 2ku],
+        # x = a^2/2; scipy's ive is nan at a = 1e5, so c_k is checked below it
         for a in (0.0, 0.1, 1.0, 5.0, 35.7, 94.0, 1e3, 1e5):
-            mean, change = trap._overlap_mean(a * a)
-            assert change <= 1e-14
-            assert mean == pytest.approx(i0e(0.5 * a * a), rel=1e-13, abs=1e-16)
+            coeffs, previous = trap._overlap_series(a * a)
+            x = 0.5 * a * a
+            assert abs(coeffs[0] - previous[0]) <= 1e-14
+            assert coeffs[0] == pytest.approx(i0e(x), rel=1e-13, abs=1e-16)
+            if a <= 1e3:  # the series stops where its tail is negligible
+                k = np.arange(1, 11)
+                got = np.pad(coeffs, (0, 11))[k]
+                assert np.abs(got - 2.0 * ive(k, x)).max() <= 1e-15
 
     def test_matches_quad_over_seeded_configs(self):
         # 120 configs: both models, prep and interrogation trajectories,
@@ -307,17 +314,15 @@ class TestClosedFormQuadrature:
                     assert tau_accumulated(cfg, model, m * cfg.period) == 2.0 * m * half
 
     def test_doubling_cap_raises(self, monkeypatch):
-        # the default trap's overlap dip needs a few hundred nodes and a
-        # few dozen panels; below that the last change exceeds the budget
+        # the default trap's overlap dip needs a few hundred nodes; below
+        # that the last change exceeds the budget, for whole half periods
+        # and for the rest of a window alike
         cfg = AtomTrapConfig()
         monkeypatch.setattr(trap, "_MAX_NODES", 32)
-        with pytest.raises(QuadratureError) as info:
-            tau_accumulated(cfg, "gaussian", 0.5 * cfg.period)
-        assert info.value.achieved > info.value.requested
-        monkeypatch.undo()
-        monkeypatch.setattr(trap, "_MAX_PANELS", 2)
-        with pytest.raises(QuadratureError):
-            tau_accumulated(cfg, "gaussian", 0.3 * cfg.period)
+        for periods in (0.5, 0.3):
+            with pytest.raises(QuadratureError) as info:
+                tau_accumulated(cfg, "gaussian", periods * cfg.period)
+            assert info.value.achieved > info.value.requested
 
     def test_unresolved_dip_stays_within_budget(self):
         # at 1e-6 Hz the dip is 1e-6 of a period wide: the node count stops
